@@ -1,13 +1,10 @@
 //! Shared setup for the `repro` harness and the Criterion benches: build
 //! a world, sample its datasets, and run the full study in one call.
-//! The serving workloads themselves live in `cellload`; [`query_mix`]
-//! is kept as a thin shim over its `steady` preset.
+//! The serving workloads themselves live in `cellload`.
 
 use cdnsim::{generate_datasets_observed, BeaconDataset, DemandDataset};
-use cellload::Universe;
 use cellobs::Observer;
-use cellserve::IpKey;
-use cellspot::{Classification, Pipeline, Study, StudyConfig, TimingReport};
+use cellspot::{Pipeline, Study, StudyConfig, TimingReport};
 use dnssim::DnsSim;
 use worldgen::{World, WorldConfig};
 
@@ -99,17 +96,6 @@ pub fn config_for_scale(scale: &str) -> Result<WorldConfig, String> {
     }
 }
 
-/// The historical serving-benchmark query mix: ~70% addresses inside
-/// classified cellular blocks and ~30% TEST-NET / random misses, from
-/// a single seeded RNG stream. Now a shim over `cellload`'s `steady`
-/// preset, which reproduces this stream byte for byte (pinned by
-/// `tests/steady_mix.rs`) so pre-cellload BENCH trajectory points stay
-/// comparable. New callers should build a [`cellload::TraceSpec`]
-/// instead.
-pub fn query_mix(class: &Classification, lookups: usize, seed: u64) -> Vec<IpKey> {
-    cellload::steady_queries(&Universe::from_classification(class), lookups, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,10 +119,5 @@ mod tests {
         assert!(b.study.classification.len() > 100);
         assert!(!b.beacons.is_empty());
         assert!(!b.demand.is_empty());
-        // The shared benchmark query mix replays byte-identically for a
-        // fixed seed, and differs for another.
-        let a = query_mix(&b.study.classification, 500, 7);
-        assert_eq!(a, query_mix(&b.study.classification, 500, 7));
-        assert_ne!(a, query_mix(&b.study.classification, 500, 8));
     }
 }

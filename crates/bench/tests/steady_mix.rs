@@ -1,10 +1,10 @@
-//! Pins the compatibility contract behind the `query_mix` → cellload
-//! migration: the `steady` preset must reproduce the historical ad-hoc
-//! generator **byte for byte**, so every BENCH_lookup / BENCH_serve
-//! trajectory point measured before the migration stays comparable
-//! with every point measured after it.
+//! Pins the compatibility contract behind the `bench::query_mix` →
+//! cellload migration: the `steady` preset must reproduce the
+//! historical ad-hoc generator **byte for byte**, so every
+//! BENCH_lookup / BENCH_serve trajectory point measured before the
+//! migration stays comparable with every point measured after it.
 
-use bench::{build_bundle, config_for_scale, query_mix};
+use bench::{build_bundle, config_for_scale};
 use cellload::{Preset, TraceSpec, Universe};
 use cellserve::IpKey;
 use cellspot::Classification;
@@ -50,9 +50,6 @@ fn steady_preset_reproduces_the_legacy_query_mix_byte_for_byte() {
     assert!(!class.is_empty(), "mini world classifies some blocks");
     for seed in [0, 7, 0xDEAD_BEEF] {
         let legacy = legacy_query_mix(class, 20_000, seed);
-        // The shim itself...
-        assert_eq!(query_mix(class, 20_000, seed), legacy, "seed {seed}");
-        // ...and the preset API it delegates to.
         let spec = TraceSpec {
             preset: Preset::Steady,
             seed,

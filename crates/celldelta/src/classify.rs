@@ -32,6 +32,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use cellobs::Observer;
+use cellseal::Fnv64;
 use cellserve::{AsClass, FrozenIndex, FrozenIndexBuilder, ServeLabel};
 use cellspot::DEDICATED_CFD;
 use netaddr::{Asn, BlockId};
@@ -112,28 +113,6 @@ pub fn classify_epoch(counters: &EpochCounters, threshold: f64) -> FrozenIndex {
     freeze(labeled.into_iter())
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
-
 /// The memoization key: a content hash of everything [`classify_as`]
 /// reads — the AS's blocks (family tag + index), their integer
 /// counters, the exact `du` bit patterns, and the threshold. Equal
@@ -141,25 +120,25 @@ impl Fnv {
 /// verdicts, because the classification is a pure serial function of
 /// these values.
 fn as_input_hash(blocks: &[&BlockCounters], threshold: f64) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(threshold.to_bits());
-    h.write_u64(blocks.len() as u64);
+    let mut h = Fnv64::new();
+    h.write(&threshold.to_bits().to_le_bytes());
+    h.write(&(blocks.len() as u64).to_le_bytes());
     for c in blocks {
         match c.block {
             BlockId::V4(b) => {
                 h.write(&[4]);
-                h.write_u64(b.index() as u64);
+                h.write(&(b.index() as u64).to_le_bytes());
             }
             BlockId::V6(b) => {
                 h.write(&[6]);
-                h.write_u64(b.index());
+                h.write(&b.index().to_le_bytes());
             }
         }
-        h.write_u64(c.netinfo_hits);
-        h.write_u64(c.cellular_hits);
-        h.write_u64(c.du.to_bits());
+        h.write(&c.netinfo_hits.to_le_bytes());
+        h.write(&c.cellular_hits.to_le_bytes());
+        h.write(&c.du.to_bits().to_le_bytes());
     }
-    h.0
+    h.finish()
 }
 
 struct MemoEntry {

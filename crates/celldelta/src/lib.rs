@@ -16,11 +16,11 @@
 //! * **CELLDELT deltas** — changed labels seal into a delta artifact
 //!   ([`Delta`], [`build_delta`], [`apply_delta`]): a base generation
 //!   referenced by content hash plus a sorted add/update/remove patch
-//!   set, with the same canonical-encoding + length/CRC trailer
-//!   discipline as CELLSERV. `apply(base, delta)` verifies the base
-//!   hash, patches strictly, and re-freezes through the canonical
-//!   builder — producing bytes *identical* to a full `index build` at
-//!   the delta's epoch (the crate's property suite pins this down).
+//!   set, with the same canonical encoding and [`cellseal`] envelope
+//!   as CELLSERV. `apply(base, delta)` verifies the base hash, patches
+//!   strictly, and re-freezes through the canonical builder —
+//!   producing bytes *identical* to a full `index build` at the
+//!   delta's epoch (the crate's property suite pins this down).
 //!
 //! The serving side (`cellserved`) picks deltas up from disk and
 //! hot-swaps the patched generation under traffic; wrong-base, stale,
@@ -47,13 +47,6 @@ pub use churn::ChurnWorld;
 pub use classify::{classify_epoch, IncrementalClassifier};
 pub use counters::{changed_blocks, BlockCounters, EpochCounters};
 pub use wire::{
-    apply_family, diff_family, Delta, DeltaError, DeltaKey, EntryMap, PatchChange, PatchOp,
-    DELTA_MAGIC, DELTA_VERSION,
+    apply_family, diff_family, Delta, DeltaError, EntryMap, PatchChange, PatchOp, DELTA_MAGIC,
+    DELTA_VERSION,
 };
-
-/// CRC-32 used to seal delta bodies — the same checksum the CELLSERV
-/// artifact and the streaming checkpoints use, so every sealed file in
-/// the system shares one integrity discipline.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    cellstream::crc32(bytes)
-}

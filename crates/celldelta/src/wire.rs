@@ -20,24 +20,20 @@
 //!       value              add/update only: { asn: u32, class: u8 }
 //!     }                    sorted strictly ascending by (len, key)
 //!   v6 patch:              same shape with u128 keys
-//! trailer:
-//!   body_len      u64
-//!   crc32         u32      cellstream CRC-32 of the body
-//!   magic         4 bytes  "CDLT"
+//! trailer:      the cellseal envelope, trailer magic "CDLT"
 //! ```
 //!
-//! The discipline matches `cellserve::artifact` exactly: little-endian
+//! The discipline matches `cellserve`'s artifacts exactly: little-endian
 //! fixed-width fields, canonical encoding (`to_bytes(from_bytes(b)) ==
-//! b`), a length + CRC-32 seal that rejects any single-byte corruption
-//! or truncation, and structural re-validation (sortedness, masked
-//! keys, op/class byte ranges) past the seal.
-//!
-//! This module is deliberately std-only — its only tie to the rest of
-//! the workspace is `crate::crc32` — so the codec can be compiled and
-//! exercised by a bare `rustc` harness, independent of cargo.
+//! b`), the shared [`cellseal`] envelope rejecting any single-byte
+//! corruption or truncation, and structural re-validation (sortedness,
+//! masked keys, op/class byte ranges) past the seal.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use cellseal::Reader;
+use cellserve::PrefixCodec;
 
 /// Leading bytes of every delta artifact.
 pub const DELTA_MAGIC: [u8; 8] = *b"CELLDELT";
@@ -45,7 +41,6 @@ pub const DELTA_MAGIC: [u8; 8] = *b"CELLDELT";
 pub const DELTA_VERSION: u32 = 1;
 
 const TRAILER_MAGIC: [u8; 4] = *b"CDLT";
-const TRAILER_LEN: usize = 16;
 
 /// Everything that can go wrong building, decoding, or applying a
 /// delta.
@@ -112,88 +107,14 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
+impl From<cellseal::SealError> for DeltaError {
+    fn from(e: cellseal::SealError) -> Self {
+        DeltaError::Corrupt(e.to_string())
+    }
+}
+
 fn corrupt(why: impl Into<String>) -> DeltaError {
     DeltaError::Corrupt(why.into())
-}
-
-/// A prefix key: the integer address type of one family. Mirrors
-/// `cellserve`'s internal `PrefixKey` but is defined locally so this
-/// module stays std-only.
-pub trait DeltaKey: Copy + Ord {
-    /// Family bit width (32 or 128).
-    const BITS: u8;
-    /// Serialized size in bytes (4 or 16).
-    const SIZE: usize;
-    /// Network mask for a prefix length.
-    fn mask(len: u8) -> Self;
-    /// Bitwise AND.
-    fn and(self, other: Self) -> Self;
-    /// Append the key in little-endian byte order.
-    fn write_le(self, out: &mut Vec<u8>);
-    /// Read a key from exactly [`DeltaKey::SIZE`] little-endian bytes.
-    fn read_le(bytes: &[u8]) -> Self;
-    /// Widen for diagnostics.
-    fn to_u128(self) -> u128;
-}
-
-impl DeltaKey for u32 {
-    const BITS: u8 = 32;
-    const SIZE: usize = 4;
-
-    fn mask(len: u8) -> u32 {
-        debug_assert!(len <= 32);
-        if len == 0 {
-            0
-        } else {
-            u32::MAX << (32 - len)
-        }
-    }
-
-    fn and(self, other: u32) -> u32 {
-        self & other
-    }
-
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn read_le(bytes: &[u8]) -> u32 {
-        u32::from_le_bytes(bytes.try_into().expect("caller passes SIZE bytes"))
-    }
-
-    fn to_u128(self) -> u128 {
-        self as u128
-    }
-}
-
-impl DeltaKey for u128 {
-    const BITS: u8 = 128;
-    const SIZE: usize = 16;
-
-    fn mask(len: u8) -> u128 {
-        debug_assert!(len <= 128);
-        if len == 0 {
-            0
-        } else {
-            u128::MAX << (128 - len)
-        }
-    }
-
-    fn and(self, other: u128) -> u128 {
-        self & other
-    }
-
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn read_le(bytes: &[u8]) -> u128 {
-        u128::from_le_bytes(bytes.try_into().expect("caller passes SIZE bytes"))
-    }
-
-    fn to_u128(self) -> u128 {
-        self
-    }
 }
 
 /// One family's entry set, keyed exactly like
@@ -279,53 +200,26 @@ impl Delta {
         out.extend_from_slice(&self.epoch.to_le_bytes());
         encode_ops(&mut out, &self.v4);
         encode_ops(&mut out, &self.v6);
-        let body_len = out.len() as u64;
-        let crc = crate::crc32(&out);
-        out.extend_from_slice(&body_len.to_le_bytes());
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(&TRAILER_MAGIC);
-        out
+        cellseal::seal(out, TRAILER_MAGIC)
     }
 
-    /// Decode and fully validate a sealed delta: seal first (length,
-    /// CRC, trailer magic), then structure (header magic, version,
+    /// Decode and fully validate a sealed delta: seal first
+    /// ([`cellseal::open`]), then structure (header magic, version,
     /// epoch ordering, op sortedness, masked keys, op/class byte
     /// ranges, no trailing bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<Delta, DeltaError> {
-        if bytes.len() < TRAILER_LEN + DELTA_MAGIC.len() {
-            return Err(corrupt("shorter than seal + magic"));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
-        if trailer[12..16] != TRAILER_MAGIC {
-            return Err(corrupt("trailer magic mismatch"));
-        }
-        let sealed_len = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-        if sealed_len != body.len() as u64 {
-            return Err(corrupt(format!(
-                "sealed length {sealed_len} != body length {}",
-                body.len()
-            )));
-        }
-        let sealed_crc = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
-        let crc = crate::crc32(body);
-        if sealed_crc != crc {
-            return Err(corrupt(format!(
-                "crc mismatch: sealed {sealed_crc:08x}, body {crc:08x}"
-            )));
-        }
-
-        let mut r = Reader { body, pos: 0 };
-        if r.take(DELTA_MAGIC.len(), "header magic")? != DELTA_MAGIC {
+        let mut r = Reader::new(cellseal::open(bytes, TRAILER_MAGIC)?);
+        if r.take(DELTA_MAGIC.len())? != DELTA_MAGIC {
             return Err(corrupt("header magic mismatch"));
         }
-        let version = r.u32("version")?;
+        let version = r.u32()?;
         if version != DELTA_VERSION {
             return Err(DeltaError::UnsupportedVersion(version));
         }
-        let base_hash = r.u64("base hash")?;
-        let target_hash = r.u64("target hash")?;
-        let base_epoch = r.u64("base epoch")?;
-        let epoch = r.u64("epoch")?;
+        let base_hash = r.u64()?;
+        let target_hash = r.u64()?;
+        let base_epoch = r.u64()?;
+        let epoch = r.u64()?;
         if epoch <= base_epoch {
             return Err(corrupt(format!(
                 "delta epoch {epoch} does not advance past base epoch {base_epoch}"
@@ -333,12 +227,7 @@ impl Delta {
         }
         let v4 = decode_ops::<u32>(&mut r)?;
         let v6 = decode_ops::<u128>(&mut r)?;
-        if r.pos != body.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the last op",
-                body.len() - r.pos
-            )));
-        }
+        r.finish()?;
         Ok(Delta {
             base_hash,
             target_hash,
@@ -350,7 +239,7 @@ impl Delta {
     }
 }
 
-fn encode_ops<K: DeltaKey>(out: &mut Vec<u8>, ops: &[PatchOp<K>]) {
+fn encode_ops<K: PrefixCodec>(out: &mut Vec<u8>, ops: &[PatchOp<K>]) {
     out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for op in ops {
         out.push(op.change.op_byte());
@@ -366,20 +255,20 @@ fn encode_ops<K: DeltaKey>(out: &mut Vec<u8>, ops: &[PatchOp<K>]) {
     }
 }
 
-fn decode_ops<K: DeltaKey>(r: &mut Reader<'_>) -> Result<Vec<PatchOp<K>>, DeltaError> {
-    let count = r.u32("op count")? as usize;
+fn decode_ops<K: PrefixCodec>(r: &mut Reader<'_>) -> Result<Vec<PatchOp<K>>, DeltaError> {
+    let count = r.u32()? as usize;
     let mut ops = Vec::with_capacity(count.min(1 << 20));
     let mut prev: Option<(u8, K)> = None;
     for i in 0..count {
-        let op_byte = r.u8("op byte")?;
-        let len = r.u8("prefix length")?;
+        let op_byte = r.u8()?;
+        let len = r.u8()?;
         if len > K::BITS {
             return Err(corrupt(format!(
                 "prefix length {len} exceeds family width {} in op {i}",
                 K::BITS
             )));
         }
-        let key = K::read_le(r.take(K::SIZE, "prefix key")?);
+        let key = K::read_le(r.take(K::SIZE)?);
         if key.and(K::mask(len)) != key {
             return Err(corrupt(format!("non-canonical key in op {i}")));
         }
@@ -392,8 +281,8 @@ fn decode_ops<K: DeltaKey>(r: &mut Reader<'_>) -> Result<Vec<PatchOp<K>>, DeltaE
         let change = match op_byte {
             0 => PatchChange::Remove,
             1 | 2 => {
-                let asn = r.u32("op asn")?;
-                let class = r.u8("op class")?;
+                let asn = r.u32()?;
+                let class = r.u8()?;
                 if class > 2 {
                     return Err(corrupt(format!("invalid class byte {class} in op {i}")));
                 }
@@ -410,46 +299,14 @@ fn decode_ops<K: DeltaKey>(r: &mut Reader<'_>) -> Result<Vec<PatchOp<K>>, DeltaE
     Ok(ops)
 }
 
-struct Reader<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DeltaError> {
-        if self.body.len() - self.pos < n {
-            return Err(corrupt(format!("truncated {what}")));
-        }
-        let s = &self.body[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, DeltaError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, DeltaError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, DeltaError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-fn fmt_prefix<K: DeltaKey>(len: u8, key: K) -> String {
-    format!("{:x}/{len}", key.to_u128())
+fn fmt_prefix<K: PrefixCodec>(len: u8, key: K) -> String {
+    format!("{key:x}/{len}")
 }
 
 /// The minimal patch turning `base` into `target`: a sorted merge-join
 /// over the two entry maps emitting one op per differing prefix, in
 /// exactly the `(len, key)`-ascending order the wire format requires.
-pub fn diff_family<K: DeltaKey>(base: &EntryMap<K>, target: &EntryMap<K>) -> Vec<PatchOp<K>> {
+pub fn diff_family<K: PrefixCodec>(base: &EntryMap<K>, target: &EntryMap<K>) -> Vec<PatchOp<K>> {
     let mut ops = Vec::new();
     let mut b = base.iter().peekable();
     let mut t = target.iter().peekable();
@@ -498,7 +355,7 @@ pub fn diff_family<K: DeltaKey>(base: &EntryMap<K>, target: &EntryMap<K>) -> Vec
 /// a present prefix, or an update/remove of an absent one, is a
 /// [`DeltaError::PatchConflict`] — the delta was built against a
 /// different base than it is being applied to.
-pub fn apply_family<K: DeltaKey>(
+pub fn apply_family<K: PrefixCodec>(
     base: &EntryMap<K>,
     ops: &[PatchOp<K>],
 ) -> Result<EntryMap<K>, DeltaError> {
@@ -579,12 +436,6 @@ mod tests {
         }
     }
 
-    fn reseal(bytes: &mut [u8]) {
-        let body_len = bytes.len() - TRAILER_LEN;
-        let crc = crate::crc32(&bytes[..body_len]);
-        bytes[body_len + 8..body_len + 12].copy_from_slice(&crc.to_le_bytes());
-    }
-
     #[test]
     fn roundtrip_is_canonical() {
         let delta = sample();
@@ -609,43 +460,6 @@ mod tests {
         let decoded = Delta::from_bytes(&bytes).expect("valid empty delta");
         assert_eq!(decoded, delta);
         assert_eq!(decoded.to_bytes(), bytes);
-    }
-
-    #[test]
-    fn every_single_byte_corruption_is_rejected() {
-        let bytes = sample().to_bytes();
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0x80] {
-                let mut bad = bytes.clone();
-                bad[i] ^= flip;
-                assert!(
-                    Delta::from_bytes(&bad).is_err(),
-                    "flip {flip:#x} at byte {i} must be rejected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_rejected() {
-        let bytes = sample().to_bytes();
-        for keep in 0..bytes.len() {
-            assert!(
-                Delta::from_bytes(&bytes[..keep]).is_err(),
-                "truncation to {keep} bytes must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn newer_version_behind_a_valid_seal_is_unsupported() {
-        let mut bytes = sample().to_bytes();
-        bytes[8..12].copy_from_slice(&(DELTA_VERSION + 1).to_le_bytes());
-        reseal(&mut bytes);
-        assert_eq!(
-            Delta::from_bytes(&bytes),
-            Err(DeltaError::UnsupportedVersion(DELTA_VERSION + 1))
-        );
     }
 
     #[test]
@@ -677,7 +491,7 @@ mod tests {
         let op_at = 8 + 4 + 32 + 4;
         let mut bad_op = sample().to_bytes();
         bad_op[op_at] = 7;
-        reseal(&mut bad_op);
+        cellseal::reseal(&mut bad_op);
         let err = Delta::from_bytes(&bad_op).expect_err("invalid op byte");
         assert!(err.to_string().contains("op byte"), "{err}");
 
@@ -685,7 +499,7 @@ mod tests {
         let class_at = op_at + 1 + 1 + 4 + 4;
         let mut bad_class = sample().to_bytes();
         bad_class[class_at] = 9;
-        reseal(&mut bad_class);
+        cellseal::reseal(&mut bad_class);
         let err = Delta::from_bytes(&bad_class).expect_err("invalid class byte");
         assert!(err.to_string().contains("class byte"), "{err}");
     }

@@ -21,3 +21,9 @@ impl std::fmt::Display for LoadError {
 }
 
 impl std::error::Error for LoadError {}
+
+impl From<cellseal::SealError> for LoadError {
+    fn from(e: cellseal::SealError) -> Self {
+        LoadError::Corrupt(e.to_string())
+    }
+}

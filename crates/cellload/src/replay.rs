@@ -26,15 +26,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cellobs::Observer;
+use cellseal::Fnv64;
 use cellserve::{IpKey, LookupMatch, MatchedPrefix, QueryEngine};
 use cellserved::{ClientPolicy, FramedClient, ServedError, WireAnswer};
 
 use crate::trace::Trace;
-
-/// FNV-1a 64 offset basis (same constants as `cellserve::content_hash`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A normalized answer: `(prefix_len, asn, class_byte)` for a hit,
 /// `None` for a miss. Every replay target reduces to this.
@@ -46,44 +42,29 @@ pub type Answer = Option<(u8, u32, u8)>;
 /// Hashing the concatenation of two streams equals continuing one
 /// digest across both, so per-segment digests and the whole-trace
 /// digest stay consistent.
-#[derive(Clone, Copy, Debug)]
-pub struct AnswerDigest(u64);
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AnswerDigest(Fnv64);
 
 impl AnswerDigest {
     /// A fresh digest.
     pub fn new() -> AnswerDigest {
-        AnswerDigest(FNV_OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
+        AnswerDigest::default()
     }
 
     /// Fold one normalized answer.
     pub fn push(&mut self, answer: Answer) {
         match answer {
-            None => self.byte(0),
+            None => self.0.write(&[0]),
             Some((len, asn, class)) => {
-                self.byte(1);
-                self.byte(len);
-                for b in asn.to_le_bytes() {
-                    self.byte(b);
-                }
-                self.byte(class);
+                let [a0, a1, a2, a3] = asn.to_le_bytes();
+                self.0.write(&[1, len, a0, a1, a2, a3, class]);
             }
         }
     }
 
     /// The digest value.
     pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for AnswerDigest {
-    fn default() -> Self {
-        AnswerDigest::new()
+        self.0.finish()
     }
 }
 

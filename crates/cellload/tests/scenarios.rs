@@ -14,9 +14,9 @@ use cellload::{
     Universe,
 };
 use cellobs::Observer;
+use cellseal::write_atomic_bytes;
 use cellserve::FrozenIndex;
 use cellserved::{Daemon, ServeConfig};
-use cellstream::write_atomic_bytes;
 
 fn frozen_for_epoch(world: &ChurnWorld, epoch: u64) -> FrozenIndex {
     celldelta::classify_epoch(&world.epoch_counters(epoch), cellspot::DEFAULT_THRESHOLD)

@@ -1,9 +1,8 @@
 //! The sealed binary artifact format.
 //!
 //! A [`FrozenIndex`] serializes to a compact, versioned byte layout,
-//! sealed against corruption with the same CRC-32 used by
-//! `cellstream`'s checkpoint footers ([`cellstream::crc32`]). All
-//! integers are little-endian.
+//! sealed with the shared [`cellseal`] envelope. All integers are
+//! little-endian.
 //!
 //! ```text
 //! body:
@@ -20,22 +19,18 @@
 //!       label_idx    entry_count × u32   indexes into the label table
 //!     }
 //!   v6 family:       same shape with u128 (16-byte) keys
-//! trailer (16 bytes):
-//!   body_len         u64      length of everything before the trailer
-//!   crc32            u32      CRC-32 (IEEE) of the body
-//!   trailer magic    4 bytes  "CSRV"
+//! trailer:           the cellseal envelope, trailer magic "CSRV"
 //! ```
 //!
-//! [`from_bytes`] verifies the seal (trailer magic, length, CRC) before
-//! touching the body, then re-validates every structural invariant the
-//! lookup path relies on — sorted keys, canonical (masked) prefixes,
-//! longest-first level order, in-range label indexes. Any single-byte
-//! corruption anywhere in the file is rejected: CRC-32 detects all
-//! single-byte errors in the body, and each trailer field is checked
-//! directly. Encoding is canonical, so `to_bytes(from_bytes(b)?) == b`.
+//! [`decode_v1`] verifies the seal ([`cellseal::open`]) before touching
+//! the body, then re-validates every structural invariant the lookup
+//! path relies on — sorted keys, canonical (masked) prefixes,
+//! longest-first level order, in-range label indexes. Encoding is
+//! canonical, so `encode_v1(decode_v1(b)?) == b`.
 
 use crate::error::ServeError;
 use crate::frozen::{AsClass, FamilyIndex, FrozenIndex, Level, PrefixKey, ServeLabel};
+use cellseal::Reader;
 use netaddr::Asn;
 
 /// Leading magic identifying a cellserve artifact.
@@ -44,11 +39,8 @@ pub const ARTIFACT_MAGIC: [u8; 8] = *b"CELLSERV";
 /// Format version this build writes and reads.
 pub const ARTIFACT_VERSION: u32 = 1;
 
-/// Trailing magic closing the seal.
-const TRAILER_MAGIC: [u8; 4] = *b"CSRV";
-
-/// Trailer size: body length (8) + CRC-32 (4) + magic (4).
-const TRAILER_LEN: usize = 16;
+/// Trailing magic closing the seal (both CELLSERV versions).
+pub(crate) const TRAILER_MAGIC: [u8; 4] = *b"CSRV";
 
 fn corrupt(why: impl Into<String>) -> ServeError {
     ServeError::Corrupt(why.into())
@@ -56,39 +48,6 @@ fn corrupt(why: impl Into<String>) -> ServeError {
 
 fn decode_class(byte: u8) -> Result<AsClass, ServeError> {
     AsClass::from_byte(byte).ok_or_else(|| corrupt(format!("invalid label class byte {byte}")))
-}
-
-/// Serialize an index into a sealed **v1** artifact.
-///
-/// Deprecated entry point: new code should go through
-/// [`Artifact::encode`](crate::Artifact::encode) (which also writes the
-/// mappable v2 format) or [`Artifact::open`](crate::Artifact::open) to
-/// load. Kept for one release as a shim.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Artifact::encode(index, ArtifactFormat::V1)` or, preferably, the v2 format"
-)]
-pub fn to_bytes(index: &FrozenIndex) -> Vec<u8> {
-    encode_v1(index)
-}
-
-/// Verify the seal and decode a **v1** artifact into a [`FrozenIndex`].
-///
-/// Deprecated entry point: new code should use
-/// [`Artifact::open`](crate::Artifact::open) /
-/// [`Artifact::from_bytes`](crate::Artifact::from_bytes), which sniff
-/// v1/v2 and return a unified [`IndexView`](crate::IndexView), or
-/// [`Artifact::decode`](crate::Artifact::decode) for the owned form.
-///
-/// # Errors
-/// As [`decode_v1`]: [`ServeError::Corrupt`] or
-/// [`ServeError::UnsupportedVersion`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Artifact::open`/`Artifact::from_bytes` (v1/v2 sniffing) or `Artifact::decode`"
-)]
-pub fn from_bytes(bytes: &[u8]) -> Result<FrozenIndex, ServeError> {
-    decode_v1(bytes)
 }
 
 /// Serialize an index into a sealed v1 artifact (crate-internal name;
@@ -104,12 +63,7 @@ pub(crate) fn encode_v1(index: &FrozenIndex) -> Vec<u8> {
     }
     encode_family(&mut out, &index.v4);
     encode_family(&mut out, &index.v6);
-    let body_len = out.len() as u64;
-    let crc = cellstream::crc32(&out);
-    out.extend_from_slice(&body_len.to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&TRAILER_MAGIC);
-    out
+    cellseal::seal(out, TRAILER_MAGIC)
 }
 
 fn encode_family<K: PrefixKey>(out: &mut Vec<u8>, fam: &FamilyIndex<K>) {
@@ -136,33 +90,7 @@ fn encode_family<K: PrefixKey>(out: &mut Vec<u8>, fam: &FamilyIndex<K>) {
 /// written by a different format revision (including v2 — route
 /// mixed-version loads through [`Artifact::open`](crate::Artifact::open)).
 pub(crate) fn decode_v1(bytes: &[u8]) -> Result<FrozenIndex, ServeError> {
-    let min = ARTIFACT_MAGIC.len() + 4 + TRAILER_LEN;
-    if bytes.len() < min {
-        return Err(corrupt(format!(
-            "{} bytes is shorter than the {min}-byte minimum",
-            bytes.len()
-        )));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
-    let sealed_len = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-    if sealed_len != body.len() as u64 {
-        return Err(corrupt(format!(
-            "length seal mismatch: trailer says {sealed_len}, body is {}",
-            body.len()
-        )));
-    }
-    let sealed_crc = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
-    if trailer[12..16] != TRAILER_MAGIC {
-        return Err(corrupt("bad trailer magic"));
-    }
-    let crc = cellstream::crc32(body);
-    if crc != sealed_crc {
-        return Err(corrupt(format!(
-            "CRC mismatch: sealed {sealed_crc:#010x}, computed {crc:#010x}"
-        )));
-    }
-
-    let mut r = Reader { body, pos: 0 };
+    let mut r = Reader::new(cellseal::open(bytes, TRAILER_MAGIC)?);
     if r.take(ARTIFACT_MAGIC.len())? != ARTIFACT_MAGIC {
         return Err(corrupt("bad artifact magic"));
     }
@@ -179,42 +107,8 @@ pub(crate) fn decode_v1(bytes: &[u8]) -> Result<FrozenIndex, ServeError> {
     }
     let v4 = decode_family::<u32>(&mut r, label_count)?;
     let v6 = decode_family::<u128>(&mut r, label_count)?;
-    if r.pos != body.len() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the last level",
-            body.len() - r.pos
-        )));
-    }
+    r.finish()?;
     Ok(FrozenIndex { labels, v4, v6 })
-}
-
-/// Position-tracking reader over the verified body.
-struct Reader<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.body.len())
-            .ok_or_else(|| corrupt("truncated body"))?;
-        let slice = &self.body[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
 }
 
 fn decode_family<K: PrefixKey>(
@@ -329,61 +223,5 @@ mod tests {
         let back = decode_v1(&encode_v1(&index)).expect("empty artifact loads");
         assert!(back.is_empty());
         assert_eq!(back.lookup_v4(0x0A000001), None);
-    }
-
-    #[test]
-    fn every_single_byte_corruption_is_rejected() {
-        let bytes = encode_v1(&sample_index());
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0x80] {
-                let mut bad = bytes.clone();
-                bad[i] ^= flip;
-                assert!(
-                    decode_v1(&bad).is_err(),
-                    "flip {flip:#04x} at byte {i}/{} accepted",
-                    bytes.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_is_rejected_at_every_length() {
-        let bytes = encode_v1(&sample_index());
-        for keep in 0..bytes.len() {
-            assert!(
-                decode_v1(&bytes[..keep]).is_err(),
-                "truncation to {keep}/{} bytes accepted",
-                bytes.len()
-            );
-        }
-    }
-
-    #[test]
-    fn future_versions_are_rejected_as_unsupported() {
-        let index = sample_index();
-        let mut bytes = encode_v1(&index);
-        // Bump the version field and re-seal so only the version differs.
-        let v = ARTIFACT_VERSION + 1;
-        bytes[8..12].copy_from_slice(&v.to_le_bytes());
-        let body_len = bytes.len() - 16;
-        let crc = cellstream::crc32(&bytes[..body_len]);
-        bytes[body_len + 8..body_len + 12].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode_v1(&bytes), Err(ServeError::UnsupportedVersion(v)));
-    }
-
-    #[test]
-    fn resealed_structural_corruption_is_still_rejected() {
-        // A writer bug (or corruption plus a recomputed seal) passes the
-        // CRC check; the structural validators must still refuse the
-        // body. Corrupt the first label's class byte and re-seal.
-        let mut bytes = encode_v1(&sample_index());
-        let class_at = 8 + 4 + 4 + 4; // first label's class byte
-        bytes[class_at] = 9;
-        let body_len = bytes.len() - 16;
-        let crc = cellstream::crc32(&bytes[..body_len]);
-        bytes[body_len + 8..body_len + 12].copy_from_slice(&crc.to_le_bytes());
-        let err = decode_v1(&bytes).expect_err("invalid class byte");
-        assert!(err.to_string().contains("class byte"), "{err}");
     }
 }

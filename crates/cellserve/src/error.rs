@@ -36,6 +36,12 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+impl From<cellseal::SealError> for ServeError {
+    fn from(e: cellseal::SealError) -> Self {
+        ServeError::Corrupt(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

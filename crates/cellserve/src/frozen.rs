@@ -78,10 +78,12 @@ pub struct ServeLabel {
     pub class: AsClass,
 }
 
-/// A left-aligned prefix key: the integer address type of one family,
-/// with just enough bit arithmetic for masking, serialization, and
-/// cache-slot hashing. Implemented for `u32` (IPv4) and `u128` (IPv6).
-pub(crate) trait PrefixKey: Copy + Ord {
+/// The wire codec of a left-aligned prefix key — the integer address
+/// type of one family: width, masking and little-endian
+/// (de)serialization. Implemented for `u32` (IPv4) and `u128` (IPv6);
+/// every sealed format that stores prefixes (CELLSERV, CELLDELT) reads
+/// and writes its keys through this one trait.
+pub trait PrefixCodec: Copy + Ord + std::fmt::LowerHex {
     /// Family bit width (32 or 128).
     const BITS: u8;
     /// Serialized size in bytes (4 or 16).
@@ -93,8 +95,13 @@ pub(crate) trait PrefixKey: Copy + Ord {
     fn and(self, other: Self) -> Self;
     /// Append the key in little-endian byte order.
     fn write_le(self, out: &mut Vec<u8>);
-    /// Read a key from exactly [`PrefixKey::SIZE`] little-endian bytes.
+    /// Read a key from exactly [`PrefixCodec::SIZE`] little-endian bytes.
     fn read_le(bytes: &[u8]) -> Self;
+}
+
+/// A [`PrefixCodec`] key plus what only the lookup structures need:
+/// cache-slot hashing and root-table bucketing.
+pub(crate) trait PrefixKey: PrefixCodec {
     /// A well-mixed 64-bit hash, used to pick a hot-cache slot.
     fn cache_hash(self) -> u64;
     /// The low 32 bits of the key — the v2 root table buckets IPv4
@@ -107,7 +114,7 @@ pub(crate) trait PrefixKey: Copy + Ord {
 /// prefixes do.
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-impl PrefixKey for u32 {
+impl PrefixCodec for u32 {
     const BITS: u8 = 32;
     const SIZE: usize = 4;
 
@@ -133,7 +140,9 @@ impl PrefixKey for u32 {
     fn read_le(bytes: &[u8]) -> u32 {
         u32::from_le_bytes(bytes.try_into().expect("caller passes SIZE bytes"))
     }
+}
 
+impl PrefixKey for u32 {
     #[inline]
     fn cache_hash(self) -> u64 {
         (self as u64).wrapping_mul(HASH_MUL)
@@ -145,7 +154,7 @@ impl PrefixKey for u32 {
     }
 }
 
-impl PrefixKey for u128 {
+impl PrefixCodec for u128 {
     const BITS: u8 = 128;
     const SIZE: usize = 16;
 
@@ -171,7 +180,9 @@ impl PrefixKey for u128 {
     fn read_le(bytes: &[u8]) -> u128 {
         u128::from_le_bytes(bytes.try_into().expect("caller passes SIZE bytes"))
     }
+}
 
+impl PrefixKey for u128 {
     #[inline]
     fn cache_hash(self) -> u64 {
         (((self >> 64) as u64) ^ (self as u64)).wrapping_mul(HASH_MUL)
@@ -222,10 +233,6 @@ fn branchless_eq_search<K: Copy + Ord>(keys: &[K], target: K) -> Option<usize> {
 }
 
 impl<K: PrefixKey> FamilyIndex<K> {
-    pub(crate) fn empty() -> Self {
-        FamilyIndex { levels: Vec::new() }
-    }
-
     /// Longest-prefix match: `(masked key, prefix length, label index)`
     /// of the most specific covering prefix.
     pub(crate) fn lookup(&self, addr: K) -> Option<(K, u8, u32)> {
@@ -251,7 +258,8 @@ impl<K: PrefixKey> FamilyIndex<K> {
 
 /// The immutable serving index: label table plus per-family flat-array
 /// levels. Built with [`FrozenIndexBuilder`] or decoded from a sealed
-/// artifact with [`crate::from_bytes`]; never mutated after either.
+/// artifact with [`Artifact::decode`](crate::Artifact::decode); never
+/// mutated after either.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrozenIndex {
     pub(crate) labels: Vec<ServeLabel>,
@@ -375,12 +383,6 @@ impl FrozenIndex {
                     (net, self.labels[idx as usize])
                 })
         })
-    }
-
-    /// The label at a validated table index (decoder and engine
-    /// internals only — indexes come from the index itself).
-    pub(crate) fn label(&self, idx: u32) -> ServeLabel {
-        self.labels[idx as usize]
     }
 }
 

@@ -26,7 +26,7 @@ use crate::artifact::{decode_v1, encode_v1, ARTIFACT_MAGIC, ARTIFACT_VERSION};
 use crate::error::ServeError;
 use crate::frozen::{FrozenIndex, ServeLabel};
 use crate::hash::content_hash;
-use crate::v2::{self, MappedIndex, V2Layout, ARTIFACT_V2_VERSION};
+use crate::v2::{self, V2Layout, ARTIFACT_V2_VERSION};
 use crate::view::IndexView;
 
 /// Which sealed encoding an artifact uses.
@@ -348,14 +348,6 @@ impl ArtifactHandle {
         }
     }
 
-    /// Borrow the zero-copy v2 view, when this is a v2 handle.
-    pub fn as_mapped(&self) -> Option<MappedIndex<'_>> {
-        match &self.repr {
-            Repr::V1 { .. } => None,
-            Repr::V2 { buf, .. } => MappedIndex::new(buf.as_slice()).ok(),
-        }
-    }
-
     /// Inherent mirror of [`IndexView::lookup_v4`].
     pub fn lookup_v4(&self, addr: u32) -> Option<(Ipv4Net, ServeLabel)> {
         IndexView::lookup_v4(self, addr)
@@ -642,7 +634,7 @@ mod tests {
                 bytes.len()
             );
         }
-        assert!(handle.as_mapped().is_some());
+        assert_eq!(handle.format(), ArtifactFormat::V2);
     }
 
     #[test]
@@ -651,7 +643,7 @@ mod tests {
         let handle = Artifact::from_bytes(&bytes).expect("load");
         assert!(!handle.is_mapped());
         assert!(handle.copied_bytes() > bytes.len() as u64);
-        assert!(handle.as_mapped().is_none());
+        assert_eq!(handle.format(), ArtifactFormat::V1);
     }
 
     #[test]
@@ -672,8 +664,7 @@ mod tests {
         let v2 = Artifact::encode(&index, ArtifactFormat::V2);
         let path = tmpfile("fp.cellserv", &v2);
         let fp = Artifact::quick_fingerprint(&path).expect("fingerprint");
-        let handle = Artifact::open(&path).expect("open");
-        let mapped = handle.as_mapped().expect("v2 view");
+        let mapped = crate::MappedIndex::new(&v2).expect("v2 view");
         assert_eq!(fp, mapped.quick_hash());
 
         // v1 files fall back to a full-content hash.

@@ -9,12 +9,11 @@
 //!
 //! * **Sealed artifact** — [`Artifact::encode`]/[`Artifact::open`]
 //!   snapshot a classification into a compact, versioned binary format
-//!   sealed with the same CRC-32 the streaming checkpoints use
-//!   ([`cellstream::crc32`]); any single-byte corruption is rejected
-//!   at load, never served. Two formats coexist: the original
-//!   interleaved **v1**, and the 8-byte-aligned flat-array **v2**
-//!   (default) whose body validates *in place*, so a v2 file is
-//!   `mmap`ed and served with near-zero cold-start copies.
+//!   sealed with the shared [`cellseal`] envelope; any single-byte
+//!   corruption is rejected at load, never served. Two formats
+//!   coexist: the original interleaved **v1**, and the 8-byte-aligned
+//!   flat-array **v2** (default) whose body validates *in place*, so a
+//!   v2 file is `mmap`ed and served with near-zero cold-start copies.
 //! * **[`IndexView`]** — the borrowed read API every consumer programs
 //!   against. The owned [`FrozenIndex`] (decoded v1, still what the
 //!   build and delta paths manipulate), the zero-copy [`MappedIndex`]
@@ -63,12 +62,10 @@ mod hash;
 mod v2;
 mod view;
 
-#[allow(deprecated)]
-pub use artifact::{from_bytes, to_bytes};
 pub use artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
 pub use engine::{BatchStats, IpKey, LookupMatch, MatchedPrefix, QueryEngine, QUERY_CHUNK};
 pub use error::ServeError;
-pub use frozen::{AsClass, FrozenIndex, FrozenIndexBuilder, ServeLabel};
+pub use frozen::{AsClass, FrozenIndex, FrozenIndexBuilder, PrefixCodec, ServeLabel};
 pub use handle::{Artifact, ArtifactFormat, ArtifactHandle};
 pub use hash::{content_hash, hash_hex};
 pub use v2::{MappedIndex, ARTIFACT_V2_VERSION};

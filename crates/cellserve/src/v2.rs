@@ -33,10 +33,7 @@
 //!   aux_off        u64  root table for layout 1, else 0
 //! data sections:   per level in directory order: keys, label indexes,
 //!                  aux — each zero-padded to the next 8-byte boundary
-//! trailer (16 bytes, shared with v1):
-//!   body_len       u64
-//!   crc32          u32  CRC-32 (IEEE) of the body
-//!   magic          4   "CSRV"
+//! trailer:         the cellseal envelope, trailer magic "CSRV" as in v1
 //! ```
 //!
 //! **Inner-loop layouts.** Every level except the hot one stores its
@@ -51,9 +48,9 @@
 //!
 //! **In-place validation contract.** [`parse`] accepts a byte slice
 //! and proves, without building any owned structure beyond a per-level
-//! offset table: the seal (trailer magic, length, CRC over the whole
-//! body), the header invariants, that every section offset equals the
-//! canonical packing (which also rules out overlap), that every key is
+//! offset table: the seal ([`cellseal::open`]), the header invariants,
+//! that every section offset equals the canonical packing (which also
+//! rules out overlap), that every key is
 //! masked to its level's length and strictly ascending in logical
 //! (in-order) position, that the root table is exactly the cumulative
 //! /16 histogram of its keys, and that every label index and class
@@ -61,9 +58,11 @@
 //! produces byte-identical files — so `encode(decode(b)) == b` and any
 //! single-byte corruption is rejected.
 
+use crate::artifact::{ARTIFACT_MAGIC, TRAILER_MAGIC};
 use crate::error::ServeError;
-use crate::frozen::{AsClass, FamilyIndex, FrozenIndex, Level, PrefixKey, ServeLabel};
+use crate::frozen::{AsClass, FamilyIndex, FrozenIndex, Level, PrefixCodec, PrefixKey, ServeLabel};
 use crate::hash::content_hash;
+use cellseal::TRAILER_LEN;
 use netaddr::{Asn, Ipv4Net, Ipv6Net};
 
 /// Format version sealed into v2 headers.
@@ -71,12 +70,6 @@ pub const ARTIFACT_V2_VERSION: u32 = 2;
 
 /// Fixed v2 header size.
 pub(crate) const HEADER_LEN: usize = 64;
-
-/// Trailer size shared with v1: body length (8) + CRC-32 (4) + magic.
-const TRAILER_LEN: usize = 16;
-
-/// Trailing magic closing the seal (same as v1).
-const TRAILER_MAGIC: [u8; 4] = *b"CSRV";
 
 /// Keys stored in Eytzinger (BFS) order.
 const LAYOUT_EYTZINGER: u8 = 0;
@@ -281,20 +274,6 @@ impl V2Layout {
         };
         FrozenIndex { labels, v4, v6 }
     }
-
-    /// Decoded in-memory footprint of the owned form — what a v1-style
-    /// load would have copied on top of the file read.
-    pub(crate) fn decoded_bytes(&self) -> u64 {
-        let per_level = |levels: &[LevelRef], key_size: usize| -> u64 {
-            levels
-                .iter()
-                .map(|l| (l.count * (key_size + 4)) as u64)
-                .sum()
-        };
-        self.label_count as u64 * std::mem::size_of::<ServeLabel>() as u64
-            + per_level(&self.v4, 4)
-            + per_level(&self.v6, 16)
-    }
 }
 
 /// Walk a level's entries in ascending-key order, whatever its
@@ -430,11 +409,6 @@ fn eytzinger_perm(n: usize) -> Vec<usize> {
     let mut next = 0;
     fill(&mut perm, 1, &mut next);
     perm
-}
-
-/// Whether the canonical encoding gives this level a root table.
-fn wants_root16<K: PrefixKey>(family_level_idx: usize, count: usize) -> bool {
-    K::SIZE == 4 && family_level_idx == 0 && count >= ROOT_TABLE_MIN
 }
 
 /// Serialize an index into a sealed v2 artifact. Canonical: the same
@@ -577,7 +551,7 @@ pub(crate) fn encode(index: &FrozenIndex) -> Vec<u8> {
     }
 
     // Header (after data, so quick_hash can cover the sections).
-    out[0..8].copy_from_slice(&crate::artifact::ARTIFACT_MAGIC);
+    out[0..8].copy_from_slice(&ARTIFACT_MAGIC);
     out[8..12].copy_from_slice(&ARTIFACT_V2_VERSION.to_le_bytes());
     out[12..16].copy_from_slice(&(HEADER_LEN as u32).to_le_bytes());
     let quick = content_hash(&out[HEADER_LEN..body_len]);
@@ -589,11 +563,7 @@ pub(crate) fn encode(index: &FrozenIndex) -> Vec<u8> {
     out[48..56].copy_from_slice(&(dir_off as u64).to_le_bytes());
     out[56..64].copy_from_slice(&(body_len as u64).to_le_bytes());
 
-    // Trailer: same seal discipline as v1.
-    let crc = cellstream::crc32(&out[..body_len]);
-    out[body_len..body_len + 8].copy_from_slice(&(body_len as u64).to_le_bytes());
-    out[body_len + 8..body_len + 12].copy_from_slice(&crc.to_le_bytes());
-    out[body_len + 12..body_len + 16].copy_from_slice(&TRAILER_MAGIC);
+    cellseal::seal_in_place(&mut out, TRAILER_MAGIC);
     out
 }
 
@@ -605,33 +575,15 @@ pub(crate) fn encode(index: &FrozenIndex) -> Vec<u8> {
 /// is neither 1 nor 2 (version-1 bytes are the caller's business —
 /// this parser rejects them as a version mismatch too).
 pub(crate) fn parse(buf: &[u8]) -> Result<V2Layout, ServeError> {
-    let min = HEADER_LEN + TRAILER_LEN;
-    if buf.len() < min {
+    let body = cellseal::open(buf, TRAILER_MAGIC)?;
+    if body.len() < HEADER_LEN {
         return Err(corrupt(format!(
-            "{} bytes is shorter than the {min}-byte v2 minimum",
-            buf.len()
-        )));
-    }
-    let (body, trailer) = buf.split_at(buf.len() - TRAILER_LEN);
-    let sealed_len = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-    if sealed_len != body.len() as u64 {
-        return Err(corrupt(format!(
-            "length seal mismatch: trailer says {sealed_len}, body is {}",
+            "{}-byte body is shorter than the {HEADER_LEN}-byte v2 header",
             body.len()
         )));
     }
-    if trailer[12..16] != TRAILER_MAGIC {
-        return Err(corrupt("bad trailer magic"));
-    }
-    let sealed_crc = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
-    let crc = cellstream::crc32(body);
-    if crc != sealed_crc {
-        return Err(corrupt(format!(
-            "CRC mismatch: sealed {sealed_crc:#010x}, computed {crc:#010x}"
-        )));
-    }
 
-    if body[0..8] != crate::artifact::ARTIFACT_MAGIC {
+    if body[0..8] != ARTIFACT_MAGIC {
         return Err(corrupt("bad artifact magic"));
     }
     let version = read_u32(body, 8);
@@ -1063,37 +1015,6 @@ mod tests {
         }
         assert_eq!(mapped.to_frozen(), index);
         assert_eq!(encode(&mapped.to_frozen()), bytes);
-    }
-
-    #[test]
-    fn every_single_byte_corruption_is_rejected() {
-        // Small artifact (no root table) so the exhaustive sweep stays
-        // fast; sampled corruption of root-table files lives in the
-        // property suite.
-        let bytes = encode(&sample_index());
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0x80] {
-                let mut bad = bytes.clone();
-                bad[i] ^= flip;
-                assert!(
-                    MappedIndex::new(&bad).is_err(),
-                    "flip {flip:#04x} at byte {i}/{} accepted",
-                    bytes.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_is_rejected_at_every_length() {
-        let bytes = encode(&sample_index());
-        for keep in 0..bytes.len() {
-            assert!(
-                MappedIndex::new(&bytes[..keep]).is_err(),
-                "truncation to {keep}/{} bytes accepted",
-                bytes.len()
-            );
-        }
     }
 
     #[test]

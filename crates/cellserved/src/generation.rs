@@ -322,9 +322,7 @@ mod tests {
         let mut newer = Artifact::encode(&index(2), ArtifactFormat::V1);
         let v = ARTIFACT_V2_VERSION + 1;
         newer[8..12].copy_from_slice(&v.to_le_bytes());
-        let body_len = newer.len() - 16;
-        let crc = cellstream::crc32(&newer[..body_len]);
-        newer[body_len + 8..body_len + 12].copy_from_slice(&crc.to_le_bytes());
+        cellseal::reseal(&mut newer);
         assert_eq!(
             store.try_swap_bytes(&newer),
             Err(ServeError::UnsupportedVersion(v))

@@ -237,8 +237,12 @@ pub struct WireAnswer {
 ///
 /// The client treats transport failures — connect refused, socket
 /// timeout, the server closing the connection (restart, per-connection
-/// request cap, shed) — as retryable: it reconnects with exponential
-/// backoff and re-sends the *whole* lookup batch. Lookups are
+/// request cap, shed) — as retryable: it reconnects and re-sends the
+/// *whole* lookup batch. A connection that has already answered and
+/// then fails is most likely one the server closed on purpose (its
+/// request cap, an idle timeout), so the first re-send goes out at
+/// once on a fresh connection; exponential backoff starts only when a
+/// freshly opened connection fails. Lookups are
 /// idempotent reads, so a retried batch returns byte-identical answers
 /// and replay digests are unaffected. Protocol violations (undecodable
 /// frames, wrong answer counts) are never retried: a server speaking
@@ -290,6 +294,9 @@ pub struct FramedClient {
     addr: SocketAddr,
     policy: ClientPolicy,
     stream: Option<TcpStream>,
+    /// The current connection has completed at least one exchange;
+    /// cleared wherever `stream` is dropped.
+    answered: bool,
     connected_once: bool,
     retries: u64,
     reconnects: u64,
@@ -325,6 +332,7 @@ impl FramedClient {
             addr,
             policy,
             stream: None,
+            answered: false,
             connected_once: false,
             retries: 0,
             reconnects: 0,
@@ -337,7 +345,8 @@ impl FramedClient {
     }
 
     /// Retried lookup attempts so far (each preceded by a backoff
-    /// sleep and a fresh connection).
+    /// sleep and a fresh connection). The immediate re-send after a
+    /// kept-alive connection went stale is not one of them.
     pub fn retries(&self) -> u64 {
         self.retries
     }
@@ -381,24 +390,35 @@ impl FramedClient {
         let max_attempts = self.policy.max_attempts.max(1);
         let mut attempts = 0u32;
         loop {
-            attempts += 1;
-            match self.try_lookup(ips) {
-                Ok(answers) => return Ok(answers),
+            let stale = self.answered;
+            let e = match self.try_lookup(ips) {
+                Ok(answers) => {
+                    self.answered = true;
+                    return Ok(answers);
+                }
                 Err(e) if !retryable(&e) => return Err(e),
-                Err(e) if attempts >= max_attempts => {
-                    return Err(ServedError::GaveUp {
-                        attempts,
-                        last: Box::new(e),
-                    })
-                }
-                Err(_) => {
-                    // Drop the (possibly poisoned) connection and try
-                    // again from a clean slate after the backoff.
-                    self.stream = None;
-                    self.retries += 1;
-                    std::thread::sleep(self.policy.backoff(attempts));
-                }
+                Err(e) => e,
+            };
+            // Drop the (possibly poisoned) connection and try again
+            // from a clean slate.
+            self.stream = None;
+            self.answered = false;
+            if stale {
+                // A kept-alive connection the server has since closed:
+                // re-send at once, outside the attempt budget (it can
+                // happen only once per call — the next failure is on a
+                // fresh connection).
+                continue;
             }
+            attempts += 1;
+            if attempts >= max_attempts {
+                return Err(ServedError::GaveUp {
+                    attempts,
+                    last: Box::new(e),
+                });
+            }
+            self.retries += 1;
+            std::thread::sleep(self.policy.backoff(attempts));
         }
     }
 

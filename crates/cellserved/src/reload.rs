@@ -12,7 +12,7 @@
 //! touches the serving generation.
 //!
 //! When the content fingerprint does change — the publisher is expected
-//! to use `cellstream::write_atomic_bytes`, so a change is a whole new
+//! to use `cellseal::write_atomic_bytes`, so a change is a whole new
 //! file, never a partial write — the candidate is offered to the
 //! [`GenerationStore`](crate::GenerationStore), which validates it
 //! fully (full-artifact swap for the reload watcher, base-hash-chained

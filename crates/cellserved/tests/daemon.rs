@@ -11,9 +11,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cellobs::Observer;
+use cellseal::write_atomic_bytes;
 use cellserve::{AsClass, FrozenIndex, IpKey, ServeLabel};
 use cellserved::{Daemon, FramedClient, ServeConfig, WireAnswer};
-use cellstream::write_atomic_bytes;
 use netaddr::Asn;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -82,17 +82,6 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(5));
     }
     cond()
-}
-
-/// Re-seal v2 artifact bytes after mutating the body, the same way the
-/// writer does — trailer CRC *and* the header's quick-hash fingerprint —
-/// so only post-seal (structural/version) checks can reject them.
-fn reseal(bytes: &mut [u8]) {
-    let body_len = bytes.len() - 16;
-    let quick = cellserve::content_hash(&bytes[64..body_len]);
-    bytes[16..24].copy_from_slice(&quick.to_le_bytes());
-    let crc = cellstream::crc32(&bytes[..body_len]);
-    bytes[body_len + 8..body_len + 12].copy_from_slice(&crc.to_le_bytes());
 }
 
 #[test]
@@ -329,7 +318,7 @@ fn rejected_candidates_leave_the_old_generation_serving() {
     // `ServeError::UnsupportedVersion` through the reload path.
     let mut newer = artifact(8, AsClass::Mixed, true);
     newer[8..12].copy_from_slice(&(cellserve::ARTIFACT_V2_VERSION + 1).to_le_bytes());
-    reseal(&mut newer);
+    cellseal::reseal(&mut newer);
     write_atomic_bytes(&path, &newer).expect("publish newer-version candidate");
     assert!(wait_until(Duration::from_secs(5), || rejected_count() >= 2));
 
@@ -338,7 +327,12 @@ fn rejected_candidates_leave_the_old_generation_serving() {
     // re-validation must catch what the CRC no longer can.
     let mut forged = artifact(8, AsClass::Mixed, true);
     forged[64 + 4] = 9; // first label's class word (labels start at 64)
-    reseal(&mut forged);
+                        // Refresh the header's quick-hash of the sections too, as the writer
+                        // would, so only the structural check is left to object.
+    let sections_end = forged.len() - cellseal::TRAILER_LEN;
+    let quick = cellserve::content_hash(&forged[64..sections_end]);
+    forged[16..24].copy_from_slice(&quick.to_le_bytes());
+    cellseal::reseal(&mut forged);
     write_atomic_bytes(&path, &forged).expect("publish forged candidate");
     assert!(wait_until(Duration::from_secs(5), || rejected_count() >= 3));
 

@@ -482,6 +482,39 @@ fn framed_client_survives_a_daemon_restart_on_the_same_port() {
     daemon.shutdown();
 }
 
+/// A connection the daemon closed cleanly at its request cap is stale,
+/// not broken: the client must reconnect and re-send at once, and keep
+/// its back-off for connections that fail fresh.
+#[test]
+fn request_cap_rotation_reconnects_without_backing_off() {
+    let mut cfg = config();
+    cfg.max_requests_per_conn = 4;
+    let (daemon, _obs) = start(cfg);
+    let policy = ClientPolicy {
+        backoff_base: Duration::from_millis(500),
+        ..ClientPolicy::default()
+    };
+    let mut client = FramedClient::connect_with(daemon.tcp_addr().expect("tcp listener"), policy)
+        .expect("connect");
+
+    let started = Instant::now();
+    for _ in 0..40 {
+        let answers = client.lookup(&[IpKey::V4(0x0A00_0001)]).expect("lookup");
+        assert!(answers[0].is_some());
+    }
+    let took = started.elapsed();
+
+    // 40 lookups at 4 per connection: ten connections, nine rotations.
+    assert_eq!(client.reconnects(), 9);
+    assert_eq!(client.retries(), 0, "no rotation consumed a retry");
+    assert!(
+        took < policy.backoff_base / 2,
+        "nine rotations took {took:?}: the client slept a back-off"
+    );
+
+    daemon.shutdown();
+}
+
 /// Shared daemon for the fuzz cases: real proptest runs many cases, and
 /// one daemon per case would dominate the runtime.
 fn garbage_target() -> SocketAddr {

@@ -524,6 +524,11 @@ fn run_chaos_inner(
 mod tests {
     use super::*;
 
+    // `CARGO_TARGET_TMPDIR` is only defined for integration tests.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cellstream-{name}-{}", std::process::id()))
+    }
+
     #[test]
     fn plan_roundtrips_through_json() {
         let plan = FaultPlan {
@@ -601,7 +606,7 @@ mod tests {
 
     #[test]
     fn tampering_is_deterministic_per_seed() {
-        let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("faultsim_tamper");
+        let dir = scratch_dir("faultsim_tamper");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt-ep000002.json");
@@ -677,7 +682,7 @@ mod tests {
         let log = injector.drain_log();
         assert!(log.iter().any(|l| l.contains("crashed process")));
         assert!(log.iter().any(|l| l.contains("stalled")));
-        let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("faultsim_poison");
+        let dir = scratch_dir("faultsim_poison");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("ckpt-ep000005.json");
@@ -722,8 +727,7 @@ mod tests {
         poison(&injector);
         let gate: Arc<dyn EpochGate> = injector.clone();
         let source = EventSource::new(&world, CdnConfig::default(), epochs).with_gate(gate);
-        let dir =
-            std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("faultsim_poison_chaos");
+        let dir = scratch_dir("faultsim_poison_chaos");
         let _ = fs::remove_dir_all(&dir);
         let store = CheckpointStore::new(&dir, 3);
         let (engine, report) =

@@ -20,8 +20,10 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
+
+use cellseal::{crc32, write_atomic_bytes};
 
 use crate::snapshot::Snapshot;
 
@@ -76,38 +78,6 @@ impl fmt::Display for IntegrityError {
 }
 
 impl std::error::Error for IntegrityError {}
-
-/// IEEE CRC-32 lookup table (reflected, polynomial `0xEDB88320`).
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// IEEE CRC-32 of `bytes` (the zlib/PNG variant).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Append the integrity footer to a checkpoint body.
 ///
@@ -185,85 +155,12 @@ pub fn unseal(data: &str) -> Result<&str, IntegrityError> {
     Ok(body)
 }
 
-/// One step of the atomic-write durability sequence, recorded in order
-/// so tests can assert the full temp → fsync → rename → dir-fsync chain
-/// actually ran (and in that order) rather than trusting the prose.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AtomicStep {
-    /// Content written into the temp file.
-    WriteTemp,
-    /// Temp file contents fsynced to stable storage.
-    SyncTemp,
-    /// Temp file renamed over the target path.
-    Rename,
-    /// Parent directory fsynced, making the rename itself durable.
-    SyncDir,
-}
-
-/// The directory whose entry must be fsynced for a rename of `path` to
-/// be durable. A bare file name lives in the current directory, which
-/// needs the flush just as much as an explicit parent does.
-fn fsync_dir_of(path: &Path) -> PathBuf {
-    match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    }
-}
-
-fn write_atomic_impl(
-    path: &Path,
-    content: &[u8],
-    trace: &mut dyn FnMut(AtomicStep),
-) -> io::Result<()> {
-    let dir = fsync_dir_of(path);
-    fs::create_dir_all(&dir)?;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(content)?;
-        trace(AtomicStep::WriteTemp);
-        f.sync_all()?;
-        trace(AtomicStep::SyncTemp);
-    }
-    fs::rename(&tmp, path)?;
-    trace(AtomicStep::Rename);
-    // Make the rename itself durable: until the directory entry is
-    // flushed, a crash can forget the new name and resurface the old
-    // file — or nothing at all for a first write. A directory that
-    // cannot be fsynced is therefore a real durability failure and the
-    // error propagates. (The pre-fix code skipped the flush entirely
-    // for bare file names and swallowed errors for the rest.)
-    #[cfg(unix)]
-    {
-        let df = fs::File::open(&dir)?;
-        df.sync_all()?;
-    }
-    #[cfg(not(unix))]
-    {
-        // Directories cannot be opened as files on every platform;
-        // flush best-effort there rather than failing the write.
-        if let Ok(df) = fs::File::open(&dir) {
-            let _ = df.sync_all();
-        }
-    }
-    trace(AtomicStep::SyncDir);
-    Ok(())
-}
-
 /// Write `content` to `path` atomically: temp file in the same directory,
 /// fsync, rename over the target, directory fsync. A crash at any point
 /// leaves either the old file or the new one, never a tear; once this
 /// returns, the new file survives a crash (the rename is flushed too).
 pub fn write_atomic(path: &Path, content: &str) -> io::Result<()> {
     write_atomic_bytes(path, content.as_bytes())
-}
-
-/// Byte-level [`write_atomic`]: the same temp → fsync → rename →
-/// dir-fsync sequence for binary payloads (e.g. the frozen serving
-/// artifact, which carries a binary CRC trailer instead of the text
-/// footer).
-pub fn write_atomic_bytes(path: &Path, content: &[u8]) -> io::Result<()> {
-    write_atomic_impl(path, content, &mut |_| {})
 }
 
 /// Read a sealed checkpoint file, rejecting any corruption.
@@ -437,121 +334,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc32_matches_the_reference_vector() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn seal_unseal_roundtrips() {
         let body = "{\"hello\": 1}\n";
         let sealed = seal(body);
         assert!(sealed.starts_with(body));
         assert!(sealed.contains(FOOTER_PREFIX));
         assert_eq!(unseal(&sealed).expect("verifies"), body);
-    }
-
-    #[test]
-    fn every_truncation_is_rejected() {
-        let sealed = seal("{\"payload\": [1, 2, 3]}\n");
-        for cut in 0..sealed.len() {
-            let prefix = &sealed[..cut];
-            assert!(
-                unseal(prefix).is_err(),
-                "truncation to {cut} of {} bytes must be rejected",
-                sealed.len()
-            );
-        }
-    }
-
-    #[test]
-    fn every_single_byte_flip_is_rejected() {
-        let sealed = seal("{\"payload\": \"abcdef\"}\n");
-        let bytes = sealed.as_bytes();
-        for i in 0..bytes.len() {
-            for bit in 0..8u8 {
-                let mut flipped = bytes.to_vec();
-                flipped[i] ^= 1 << bit;
-                // A flip may break UTF-8 — that counts as detection too.
-                if let Ok(text) = std::str::from_utf8(&flipped) {
-                    assert!(
-                        unseal(text).is_err(),
-                        "flip of bit {bit} at byte {i} must be rejected"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn atomic_write_leaves_no_temp_file() {
-        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("integrity_atomic");
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("ckpt-ep000001.json");
-        write_atomic(&path, "content\n").expect("write");
-        assert_eq!(fs::read_to_string(&path).expect("read back"), "content\n");
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file must be renamed away"
-        );
-        // Overwrite goes through the same path.
-        write_atomic(&path, "newer\n").expect("overwrite");
-        assert_eq!(fs::read_to_string(&path).expect("read back"), "newer\n");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn atomic_write_runs_the_full_durability_sequence() {
-        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("integrity_sequence");
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("ckpt-ep000001.json");
-        let mut steps = Vec::new();
-        write_atomic_impl(&path, b"content\n", &mut |s| steps.push(s)).expect("write");
-        assert_eq!(
-            steps,
-            [
-                AtomicStep::WriteTemp,
-                AtomicStep::SyncTemp,
-                AtomicStep::Rename,
-                AtomicStep::SyncDir,
-            ],
-            "every durability step must run, in order"
-        );
-        assert_eq!(fs::read_to_string(&path).expect("read back"), "content\n");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bare_filenames_fsync_the_current_directory() {
-        // The pre-fix code skipped the directory flush entirely when the
-        // path had no parent component; the resolver must map that case
-        // to `.` so the rename still gets made durable.
-        assert_eq!(fsync_dir_of(Path::new("ckpt.json")), PathBuf::from("."));
-        assert_eq!(
-            fsync_dir_of(Path::new("store/ckpt.json")),
-            PathBuf::from("store")
-        );
-        assert_eq!(fsync_dir_of(Path::new("/ckpt.json")), PathBuf::from("/"));
-        // And the full sequence — including the dir fsync — runs for a
-        // bare name (written into the test cwd, then cleaned up).
-        let name = Path::new("it-integrity-bare-name.tmp.json");
-        let mut steps = Vec::new();
-        write_atomic_impl(name, b"bare\n", &mut |s| steps.push(s)).expect("write bare name");
-        assert_eq!(*steps.last().expect("steps recorded"), AtomicStep::SyncDir);
-        assert_eq!(fs::read_to_string(name).expect("read back"), "bare\n");
-        let _ = fs::remove_file(name);
-    }
-
-    #[test]
-    fn write_atomic_bytes_roundtrips_binary_payloads() {
-        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("integrity_bytes");
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("artifact.bin");
-        let payload: Vec<u8> = (0..=255u8).collect();
-        write_atomic_bytes(&path, &payload).expect("write");
-        assert_eq!(fs::read(&path).expect("read back"), payload);
-        assert!(!path.with_extension("tmp").exists());
-        let _ = fs::remove_dir_all(&dir);
     }
 }

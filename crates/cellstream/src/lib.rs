@@ -59,9 +59,12 @@ pub use faultsim::{
     run_chaos, run_chaos_observed, ChaosError, ChaosReport, Fault, FaultInjector, FaultPlan,
 };
 pub use hll::{HyperLogLog, MAX_PRECISION, MIN_PRECISION};
+// The checksum and the atomic write live in the `cellseal` leaf; the
+// names stay here for the CLI and the checkpoint code.
+pub use cellseal::{crc32, write_atomic_bytes};
 pub use integrity::{
-    crc32, read_verified, seal, unseal, write_atomic, write_atomic_bytes, CheckpointStore,
-    IntegrityError, RecoveryOutcome, DEFAULT_RETAIN, FOOTER_PREFIX,
+    read_verified, seal, unseal, write_atomic, CheckpointStore, IntegrityError, RecoveryOutcome,
+    DEFAULT_RETAIN, FOOTER_PREFIX,
 };
 pub use shard::{BeaconAccum, DemandAccum, ShardRouter, ShardState};
 pub use snapshot::{BeaconRow, DemandRow, ResolverRow, ShardSnapshot, Snapshot, SNAPSHOT_VERSION};

@@ -215,7 +215,8 @@ fn permanent_source_failure_is_a_clean_error() {
         &injector,
         8,
     )
-    .expect_err("permanent failure cannot be recovered");
+    .err()
+    .expect("permanent failure cannot be recovered");
     match err {
         ChaosError::Ingest(IngestError::Source(e)) => {
             assert_eq!(e.epoch, 2);
@@ -253,7 +254,8 @@ fn restart_budget_is_enforced() {
         &injector,
         3,
     )
-    .expect_err("restart budget must trip");
+    .err()
+    .expect("restart budget must trip");
     match err {
         ChaosError::RestartsExhausted { limit } => assert_eq!(limit, 3),
         other => panic!("unexpected error: {other:?}"),

@@ -178,7 +178,8 @@ fn degenerate_stream_configs_are_errors_not_panics() {
         ..Default::default()
     };
     let err = IngestEngine::try_with_layout(zero_shards, 4, 28, ResolverMap::empty())
-        .expect_err("zero shards must be rejected");
+        .err()
+        .expect("zero shards must be rejected");
     match err {
         IngestError::BadConfig(msg) => assert!(msg.contains("shard"), "{msg}"),
         other => panic!("unexpected error: {other:?}"),

@@ -1,17 +1,25 @@
 //! Every file this workspace seals — CELLSERV v1 and v2 artifacts,
-//! CELLDELT deltas, CELLLOAD traces, sealed checkpoints — pinned byte
-//! for byte: one tiny fixed fixture per format and the FNV-1a 64 content
-//! hash of its sealed bytes. A change to any encoder, or to the
-//! envelope they share, that moves a single byte fails here first.
+//! CELLDELT deltas, CELLLOAD traces, sealed checkpoints — as one table:
+//! a tiny fixed fixture per format, the FNV-1a 64 content hash of its
+//! sealed bytes, and the format's real decoder.
+//!
+//! The golden hashes pin the bytes: a change to any encoder, or to the
+//! envelope they share, that moves a single byte fails here first. The
+//! damage suite then runs every single-bit flip and every truncation of
+//! every fixture through its decoder, and checks what lies past the
+//! seal — a newer version, a structurally broken body, another format's
+//! file — is refused with the error class callers branch on. (The
+//! envelope itself is tested exhaustively in `cellseal`.)
 
 use cellspotting::cellserve::{
-    content_hash, Artifact, ArtifactFormat, AsClass, FrozenIndex, IpKey, ServeLabel,
+    content_hash, Artifact, ArtifactFormat, AsClass, FrozenIndex, IpKey, MappedIndex, ServeError,
+    ServeLabel,
 };
 use cellspotting::cellstream;
 use cellspotting::netaddr::Asn;
 
-use celldelta::{Delta, PatchChange, PatchOp};
-use cellload::{Trace, TraceSegment};
+use celldelta::{Delta, DeltaError, PatchChange, PatchOp};
+use cellload::{LoadError, Trace, TraceSegment};
 
 fn index() -> FrozenIndex {
     let label = |asn: u32, class: AsClass| ServeLabel {
@@ -99,27 +107,110 @@ fn trace() -> Trace {
     }
 }
 
-/// The five sealed formats: name, sealed bytes of the fixture, and the
-/// content hash those bytes had when the fixture was first pinned.
-fn formats() -> Vec<(&'static str, Vec<u8>, u64)> {
+/// How a decoder refused its input, reduced to the classes callers
+/// branch on (exit codes, reload-rejection counters).
+#[derive(Debug, PartialEq, Eq)]
+enum Refusal {
+    Corrupt,
+    UnsupportedVersion(u32),
+}
+
+fn serve(e: ServeError) -> Refusal {
+    match e {
+        ServeError::Corrupt(_) => Refusal::Corrupt,
+        ServeError::UnsupportedVersion(v) => Refusal::UnsupportedVersion(v),
+        other => panic!("decoding bytes cannot fail with {other:?}"),
+    }
+}
+
+struct Format {
+    name: &'static str,
+    /// Sealed bytes of the fixture.
+    sealed: Vec<u8>,
+    /// Content hash those bytes had when the fixture was first pinned.
+    golden: u64,
+    /// The format's real decoder.
+    decode: fn(&[u8]) -> Result<(), Refusal>,
+    /// An in-place edit of the sealed bytes that breaks an invariant
+    /// the decoder checks past the seal. `None` for the checkpoint: its
+    /// body is JSON, validated by `cellstream::Snapshot`'s own tests.
+    damage: Option<fn(&mut [u8])>,
+}
+
+/// Offset of the `u32` format version in every binary format: right
+/// after the 8-byte leading magic.
+const VERSION_AT: usize = 8;
+
+fn formats() -> Vec<Format> {
     vec![
-        (
-            "CELLSERV v1",
-            Artifact::encode(&index(), ArtifactFormat::V1),
-            0x41ca_3b62_0e37_7043,
-        ),
-        (
-            "CELLSERV v2",
-            Artifact::encode(&index(), ArtifactFormat::V2),
-            0xfae2_a39e_77c4_328e,
-        ),
-        ("CELLDELT", delta().to_bytes(), 0x45c2_4163_d716_379e),
-        ("CELLLOAD", trace().to_bytes(), 0x208e_1d64_b89a_fc2c),
-        (
-            "checkpoint",
-            cellstream::seal("{\"payload\": [1, 2, 3]}\n").into_bytes(),
-            0xaa07_0de9_3e7a_9ae1,
-        ),
+        Format {
+            name: "CELLSERV v1",
+            sealed: Artifact::encode(&index(), ArtifactFormat::V1),
+            golden: 0x41ca_3b62_0e37_7043,
+            // CELLSERV's decoder sniffs the version, so this entry
+            // point also takes v2 bytes (see the cross-format test).
+            decode: |b| Artifact::decode(b).map(drop).map_err(serve),
+            // First label's class byte: magic, version, count, asn.
+            damage: Some(|b| b[8 + 4 + 4 + 4] = 9),
+        },
+        Format {
+            name: "CELLSERV v2",
+            sealed: Artifact::encode(&index(), ArtifactFormat::V2),
+            golden: 0xfae2_a39e_77c4_328e,
+            decode: |b| MappedIndex::new(b).map(drop).map_err(serve),
+            // First label's class word (labels start after the 64-byte
+            // header), with the header's quick-hash of the sections
+            // refreshed as the writer would, so only the class check is
+            // left to object.
+            damage: Some(|b| {
+                b[64 + 4] = 9;
+                let quick = content_hash(&b[64..b.len() - cellseal::TRAILER_LEN]);
+                b[16..24].copy_from_slice(&quick.to_le_bytes());
+            }),
+        },
+        Format {
+            name: "CELLDELT",
+            sealed: delta().to_bytes(),
+            golden: 0x45c2_4163_d716_379e,
+            decode: |b| {
+                Delta::from_bytes(b).map(drop).map_err(|e| match e {
+                    DeltaError::Corrupt(_) => Refusal::Corrupt,
+                    DeltaError::UnsupportedVersion(v) => Refusal::UnsupportedVersion(v),
+                    other => panic!("decoding bytes cannot fail with {other:?}"),
+                })
+            },
+            // First v4 op's op byte: magic, version, two hashes, two
+            // epochs, op count.
+            damage: Some(|b| b[8 + 4 + 32 + 4] = 7),
+        },
+        Format {
+            name: "CELLLOAD",
+            sealed: trace().to_bytes(),
+            golden: 0x208e_1d64_b89a_fc2c,
+            decode: |b| {
+                Trace::from_bytes(b).map(drop).map_err(|e| match e {
+                    LoadError::Corrupt(_) => Refusal::Corrupt,
+                    LoadError::UnsupportedVersion(v) => Refusal::UnsupportedVersion(v),
+                })
+            },
+            // First query's family byte: magic, version, seed, preset
+            // ("steady", length-prefixed), segment count, epoch, query
+            // count.
+            damage: Some(|b| b[8 + 4 + 8 + 1 + 6 + 4 + 8 + 4] = 5),
+        },
+        Format {
+            name: "checkpoint",
+            sealed: cellstream::seal("{\"payload\": [1, 2, 3]}\n").into_bytes(),
+            golden: 0xaa07_0de9_3e7a_9ae1,
+            // A flip may break UTF-8 — that counts as detection too.
+            decode: |b| {
+                let text = std::str::from_utf8(b).map_err(|_| Refusal::Corrupt)?;
+                cellstream::unseal(text)
+                    .map(drop)
+                    .map_err(|_| Refusal::Corrupt)
+            },
+            damage: None,
+        },
     ]
 }
 
@@ -127,12 +218,14 @@ fn formats() -> Vec<(&'static str, Vec<u8>, u64)> {
 fn sealed_bytes_match_their_golden_hashes() {
     let moved: Vec<String> = formats()
         .into_iter()
-        .filter(|(_, bytes, golden)| content_hash(bytes) != *golden)
-        .map(|(name, bytes, golden)| {
+        .filter(|f| content_hash(&f.sealed) != f.golden)
+        .map(|f| {
             format!(
-                "{name}: {} sealed bytes hash to {:#018x}, pinned {golden:#018x}",
-                bytes.len(),
-                content_hash(&bytes)
+                "{}: {} sealed bytes hash to {:#018x}, pinned {:#018x}",
+                f.name,
+                f.sealed.len(),
+                content_hash(&f.sealed),
+                f.golden
             )
         })
         .collect();
@@ -141,4 +234,97 @@ fn sealed_bytes_match_their_golden_hashes() {
         "sealed bytes moved:\n{}",
         moved.join("\n")
     );
+}
+
+#[test]
+fn every_single_bit_flip_is_refused_as_corrupt() {
+    for f in formats() {
+        assert_eq!((f.decode)(&f.sealed), Ok(()), "{}: intact fixture", f.name);
+        for i in 0..f.sealed.len() {
+            for bit in 0..8 {
+                let mut bad = f.sealed.clone();
+                bad[i] ^= 1 << bit;
+                assert_eq!(
+                    (f.decode)(&bad),
+                    Err(Refusal::Corrupt),
+                    "{}: flip of bit {bit} at byte {i}/{}",
+                    f.name,
+                    f.sealed.len()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_truncation_is_refused_as_corrupt() {
+    for f in formats() {
+        for keep in 0..f.sealed.len() {
+            assert_eq!(
+                (f.decode)(&f.sealed[..keep]),
+                Err(Refusal::Corrupt),
+                "{}: truncation to {keep}/{} bytes",
+                f.name,
+                f.sealed.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_newer_version_behind_a_valid_seal_is_unsupported_not_corrupt() {
+    // A version no build writes (v1 + 1 would be CELLSERV v2).
+    const NEWER: u32 = 9;
+    for f in formats().into_iter().filter(|f| f.damage.is_some()) {
+        let mut bytes = f.sealed;
+        bytes[VERSION_AT..VERSION_AT + 4].copy_from_slice(&NEWER.to_le_bytes());
+        assert_eq!(
+            (f.decode)(&bytes),
+            Err(Refusal::Corrupt),
+            "{}: the seal covers the version field",
+            f.name
+        );
+        cellseal::reseal(&mut bytes);
+        assert_eq!(
+            (f.decode)(&bytes),
+            Err(Refusal::UnsupportedVersion(NEWER)),
+            "{}",
+            f.name
+        );
+    }
+}
+
+#[test]
+fn resealed_structural_damage_is_still_refused() {
+    // A writer bug (or corruption plus a recomputed seal) passes the
+    // CRC check; the structural validators must still refuse the body.
+    for f in formats() {
+        let Some(damage) = f.damage else { continue };
+        let mut bytes = f.sealed;
+        damage(&mut bytes);
+        cellseal::reseal(&mut bytes);
+        assert_eq!((f.decode)(&bytes), Err(Refusal::Corrupt), "{}", f.name);
+    }
+}
+
+#[test]
+fn no_decoder_accepts_another_formats_bytes() {
+    let formats = formats();
+    for from in &formats {
+        for to in formats.iter().filter(|to| to.name != from.name) {
+            let got = (to.decode)(&from.sealed);
+            let expected = match (from.name, to.name) {
+                // The two CELLSERV versions share a trailer magic and a
+                // leading magic; only the version tells them apart.
+                ("CELLSERV v2", "CELLSERV v1") => Ok(()),
+                ("CELLSERV v1", "CELLSERV v2") => Err(Refusal::UnsupportedVersion(1)),
+                _ => Err(Refusal::Corrupt),
+            };
+            assert_eq!(
+                got, expected,
+                "{} bytes through the {} decoder",
+                from.name, to.name
+            );
+        }
+    }
 }
