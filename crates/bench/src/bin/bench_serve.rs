@@ -120,8 +120,7 @@ fn main() {
         .classify()
         .expect("generated datasets classify at the default threshold");
     let frozen = FrozenIndex::from_classification(&class, None);
-    let artifact_bytes =
-        cellserve::Artifact::encode(&frozen, cellserve::ArtifactFormat::V2).len();
+    let artifact_bytes = cellserve::Artifact::encode(&frozen, cellserve::ArtifactFormat::V2).len();
     let (v4_prefixes, v6_prefixes) = frozen.prefix_counts();
 
     let universe = Universe::from_classification(&class);

@@ -44,9 +44,9 @@ pub mod zipf;
 
 mod error;
 
+pub use cellserved::ClientPolicy;
 pub use error::LoadError;
 pub use preset::{steady_queries, Preset, TraceSpec};
-pub use cellserved::ClientPolicy;
 pub use replay::{
     replay_engine, replay_framed, replay_http, AnswerDigest, ReplayConfig, ReplayError,
     ReplayOutcome, SegmentOutcome,

@@ -532,9 +532,7 @@ impl HttpLoop {
             }
             // Shed or draining — the retryable server-side conditions.
             503 => Err(FrameTry::Unavailable),
-            other => Err(FrameTry::Fatal(protocol(format!(
-                "HTTP status {other}"
-            )))),
+            other => Err(FrameTry::Fatal(protocol(format!("HTTP status {other}")))),
         }
     }
 }

@@ -83,7 +83,11 @@ fn digests_survive_transports_and_a_midreplay_daemon_restart() {
     let tcp_addr = daemon.tcp_addr().expect("tcp endpoint");
     let snap = obs.snapshot();
     assert!(
-        snap.counters.get("served.http.keepalive.reuses").copied().unwrap_or(0) > 0,
+        snap.counters
+            .get("served.http.keepalive.reuses")
+            .copied()
+            .unwrap_or(0)
+            > 0,
         "bulk replay must reuse its connections, not reconnect per frame"
     );
 
@@ -129,8 +133,7 @@ fn digests_survive_transports_and_a_midreplay_daemon_restart() {
         let mut cfg = config();
         cfg.http_listen = None;
         cfg.tcp_listen = Some(tcp_addr.to_string());
-        let daemon =
-            Daemon::start_with_index(cfg, frozen(), obs.clone()).expect("daemon restarts");
+        let daemon = Daemon::start_with_index(cfg, frozen(), obs.clone()).expect("daemon restarts");
         restarted2.store(true, Ordering::SeqCst);
         (replayer.join().expect("replay thread"), daemon)
     });

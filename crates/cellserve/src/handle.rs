@@ -181,7 +181,9 @@ impl Artifact {
         if bytes.len() < 12 || bytes[..8] != ARTIFACT_MAGIC {
             return None;
         }
-        Some(u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")))
+        Some(u32::from_le_bytes(
+            bytes[8..12].try_into().expect("4 bytes"),
+        ))
     }
 
     /// The sealed format claimed by the (unvalidated) header, when the
@@ -209,8 +211,7 @@ impl Artifact {
         let got = read_fully(&mut file, &mut header).map_err(io)?;
         if got >= 24
             && header[..8] == ARTIFACT_MAGIC
-            && u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"))
-                == ARTIFACT_V2_VERSION
+            && u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) == ARTIFACT_V2_VERSION
         {
             return Ok(u64::from_le_bytes(
                 header[16..24].try_into().expect("8 bytes"),
@@ -702,7 +703,10 @@ mod tests {
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0x01;
             let path = tmpfile(&format!("bad-{format}.cellserv"), &bytes);
-            assert!(Artifact::open(&path).is_err(), "{format} corruption accepted");
+            assert!(
+                Artifact::open(&path).is_err(),
+                "{format} corruption accepted"
+            );
         }
     }
 }

@@ -319,7 +319,10 @@ fn eytzinger_search<K: PrefixKey>(buf: &[u8], level: &LevelRef, target: K) -> Op
     let n = level.count;
     let mut k = 1usize;
     while k <= n {
-        prefetch(buf, level.keys_off + ((k << PREFETCH_AHEAD).min(n)) * K::SIZE);
+        prefetch(
+            buf,
+            level.keys_off + ((k << PREFETCH_AHEAD).min(n)) * K::SIZE,
+        );
         let key = key_at::<K>(buf, level.keys_off, k - 1);
         k = 2 * k + usize::from(key < target);
     }
@@ -503,7 +506,12 @@ pub(crate) fn encode(index: &FrozenIndex) -> Vec<u8> {
         out[off + 24..off + 32].copy_from_slice(&(p.aux_off as u64).to_le_bytes());
     }
     // Data sections.
-    fn write_level<K: PrefixKey>(out: &mut [u8], plan_layout: u8, level: &Level<K>, p: (usize, usize, usize)) {
+    fn write_level<K: PrefixKey>(
+        out: &mut [u8],
+        plan_layout: u8,
+        level: &Level<K>,
+        p: (usize, usize, usize),
+    ) {
         let (keys_off, labels_off, aux_off) = p;
         let n = level.keys.len();
         if plan_layout == LAYOUT_ROOT16 {
@@ -541,12 +549,22 @@ pub(crate) fn encode(index: &FrozenIndex) -> Vec<u8> {
     for level in &index.v4.levels {
         let p = &plans[pi];
         debug_assert_eq!(p.key_size, 4);
-        write_level::<u32>(&mut out, p.layout, level, (p.keys_off, p.labels_off, p.aux_off));
+        write_level::<u32>(
+            &mut out,
+            p.layout,
+            level,
+            (p.keys_off, p.labels_off, p.aux_off),
+        );
         pi += 1;
     }
     for level in &index.v6.levels {
         let p = &plans[pi];
-        write_level::<u128>(&mut out, p.layout, level, (p.keys_off, p.labels_off, p.aux_off));
+        write_level::<u128>(
+            &mut out,
+            p.layout,
+            level,
+            (p.keys_off, p.labels_off, p.aux_off),
+        );
         pi += 1;
     }
 
@@ -617,7 +635,11 @@ pub(crate) fn parse(buf: &[u8]) -> Result<V2Layout, ServeError> {
         return Err(corrupt("labels section not at the canonical offset"));
     }
     let expect_dir = labels_off
-        .checked_add(label_count.checked_mul(8).ok_or_else(|| corrupt("label count overflow"))?)
+        .checked_add(
+            label_count
+                .checked_mul(8)
+                .ok_or_else(|| corrupt("label count overflow"))?,
+        )
         .ok_or_else(|| corrupt("label section overflow"))?;
     if dir_off != expect_dir {
         return Err(corrupt("directory not at the canonical offset"));
@@ -654,7 +676,11 @@ pub(crate) fn parse(buf: &[u8]) -> Result<V2Layout, ServeError> {
         let aux_off = read_u64(body, off + 24) as usize;
 
         let is_v4 = i < v4_levels;
-        let (family_idx, key_size, bits) = if is_v4 { (i, 4, 32u8) } else { (i - v4_levels, 16, 128) };
+        let (family_idx, key_size, bits) = if is_v4 {
+            (i, 4, 32u8)
+        } else {
+            (i - v4_levels, 16, 128)
+        };
         if family != if is_v4 { 4 } else { 6 } {
             return Err(corrupt(format!("directory entry {i} has family {family}")));
         }
@@ -686,20 +712,30 @@ pub(crate) fn parse(buf: &[u8]) -> Result<V2Layout, ServeError> {
             )));
         }
         if keys_off != cur {
-            return Err(corrupt(format!("level /{len} keys not at the canonical offset")));
+            return Err(corrupt(format!(
+                "level /{len} keys not at the canonical offset"
+            )));
         }
         cur = cur
-            .checked_add(align8(count.checked_mul(key_size).ok_or_else(|| corrupt("key section overflow"))?))
+            .checked_add(align8(
+                count
+                    .checked_mul(key_size)
+                    .ok_or_else(|| corrupt("key section overflow"))?,
+            ))
             .ok_or_else(|| corrupt("key section overflow"))?;
         if labels_sec != cur {
-            return Err(corrupt(format!("level /{len} labels not at the canonical offset")));
+            return Err(corrupt(format!(
+                "level /{len} labels not at the canonical offset"
+            )));
         }
         cur = cur
             .checked_add(align8(count * 4))
             .ok_or_else(|| corrupt("label section overflow"))?;
         if layout == LAYOUT_ROOT16 {
             if aux_off != cur {
-                return Err(corrupt(format!("level /{len} root table not at the canonical offset")));
+                return Err(corrupt(format!(
+                    "level /{len} root table not at the canonical offset"
+                )));
             }
             cur = cur
                 .checked_add(align8(ROOT_ENTRIES * 4))
@@ -718,10 +754,7 @@ pub(crate) fn parse(buf: &[u8]) -> Result<V2Layout, ServeError> {
             let aux_end = aux_off + ROOT_ENTRIES * 4;
             pads.push(aux_end..align8(aux_end));
         }
-        if pads
-            .into_iter()
-            .any(|r| body[r].iter().any(|&b| b != 0))
-        {
+        if pads.into_iter().any(|r| body[r].iter().any(|&b| b != 0)) {
             return Err(corrupt(format!("nonzero section padding in level /{len}")));
         }
         let level = LevelRef {
@@ -779,7 +812,10 @@ fn validate_level<K: PrefixKey>(
             return;
         }
         if key.and(mask) != key {
-            bad = Some(corrupt(format!("non-canonical key in level /{}", level.len)));
+            bad = Some(corrupt(format!(
+                "non-canonical key in level /{}",
+                level.len
+            )));
         } else if prev.is_some_and(|p| p >= key) {
             bad = Some(corrupt(format!("unsorted keys in level /{}", level.len)));
         } else if idx as usize >= label_count {
@@ -903,7 +939,10 @@ mod tests {
 
     fn sample_index() -> FrozenIndex {
         let mut b = FrozenIndex::builder();
-        b.insert_v4("10.0.0.0/8".parse().expect("cidr"), label(1, AsClass::Mixed));
+        b.insert_v4(
+            "10.0.0.0/8".parse().expect("cidr"),
+            label(1, AsClass::Mixed),
+        );
         b.insert_v4(
             "10.1.0.0/16".parse().expect("cidr"),
             label(2, AsClass::Dedicated),
@@ -932,7 +971,11 @@ mod tests {
         for n in 0..50 {
             let mut seen = eytzinger_perm(n);
             seen.sort_unstable();
-            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "perm({n}) is a permutation");
+            assert_eq!(
+                seen,
+                (0..n).collect::<Vec<_>>(),
+                "perm({n}) is a permutation"
+            );
         }
     }
 
@@ -942,7 +985,11 @@ mod tests {
         let bytes = encode(&index);
         let mapped = MappedIndex::new(&bytes).expect("intact v2 artifact parses");
         assert_eq!(mapped.to_frozen(), index);
-        assert_eq!(encode(&mapped.to_frozen()), bytes, "re-encoding is byte-identical");
+        assert_eq!(
+            encode(&mapped.to_frozen()),
+            bytes,
+            "re-encoding is byte-identical"
+        );
     }
 
     #[test]
@@ -970,7 +1017,11 @@ mod tests {
             0,
             u32::MAX,
         ] {
-            assert_eq!(mapped.lookup_v4(addr), index.lookup_v4(addr), "{addr:#010x}");
+            assert_eq!(
+                mapped.lookup_v4(addr),
+                index.lookup_v4(addr),
+                "{addr:#010x}"
+            );
         }
         for addr in [
             0x2001_0db8_0000_0000_0000_0000_0000_0001u128,
@@ -979,7 +1030,11 @@ mod tests {
             0,
             u128::MAX,
         ] {
-            assert_eq!(mapped.lookup_v6(addr), index.lookup_v6(addr), "{addr:#034x}");
+            assert_eq!(
+                mapped.lookup_v6(addr),
+                index.lookup_v6(addr),
+                "{addr:#034x}"
+            );
         }
         assert_eq!(mapped.prefix_counts(), index.prefix_counts());
         assert_eq!(mapped.label_count(), index.label_count());
@@ -997,8 +1052,8 @@ mod tests {
         for i in 0..(ROOT_TABLE_MIN as u32 + 500) {
             // ×7919 (odd) is a bijection mod 2^24, so the /24s are
             // distinct and spread across many /16 stems.
-            let net = Ipv4Net::new((i.wrapping_mul(7919) & 0x00FF_FFFF) << 8, 24)
-                .expect("valid /24");
+            let net =
+                Ipv4Net::new((i.wrapping_mul(7919) & 0x00FF_FFFF) << 8, 24).expect("valid /24");
             b.insert_v4(net, label(i % 97, AsClass::Dedicated));
         }
         b.insert_v4("0.0.0.0/0".parse().expect("cidr"), label(7, AsClass::Mixed));
@@ -1008,10 +1063,16 @@ mod tests {
         // The longest level is sorted + root table, so the artifact
         // carries the 2^16+1-entry aux section.
         assert!(bytes.len() > ROOT_ENTRIES * 4, "root table emitted");
-        let mut addrs: Vec<u32> = (0..20_000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let mut addrs: Vec<u32> = (0..20_000u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B9))
+            .collect();
         addrs.extend((0..1000u32).map(|i| (i.wrapping_mul(7919) & 0x00FF_FFFF) << 8 | 5));
         for addr in addrs {
-            assert_eq!(mapped.lookup_v4(addr), index.lookup_v4(addr), "{addr:#010x}");
+            assert_eq!(
+                mapped.lookup_v4(addr),
+                index.lookup_v4(addr),
+                "{addr:#010x}"
+            );
         }
         assert_eq!(mapped.to_frozen(), index);
         assert_eq!(encode(&mapped.to_frozen()), bytes);

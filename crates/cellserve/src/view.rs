@@ -78,7 +78,11 @@ pub trait IndexView: Sync {
     /// Longest-prefix match returning the matched net and label.
     fn lookup_v6(&self, addr: u128) -> Option<(Ipv6Net, ServeLabel)> {
         let (len, idx) = self.lpm_v6(addr)?;
-        let mask = if len == 0 { 0 } else { u128::MAX << (128 - len) };
+        let mask = if len == 0 {
+            0
+        } else {
+            u128::MAX << (128 - len)
+        };
         let net = Ipv6Net::new(addr & mask, len).expect("validated length ≤ 128");
         Some((net, self.label_at(idx)))
     }
@@ -168,7 +172,10 @@ mod tests {
     #[test]
     fn derived_methods_agree_with_frozen_inherents() {
         let mut b = FrozenIndex::builder();
-        b.insert_v4("10.0.0.0/8".parse().expect("cidr"), label(1, AsClass::Mixed));
+        b.insert_v4(
+            "10.0.0.0/8".parse().expect("cidr"),
+            label(1, AsClass::Mixed),
+        );
         b.insert_v4(
             "10.1.0.0/16".parse().expect("cidr"),
             label(2, AsClass::Dedicated),

@@ -185,12 +185,7 @@ impl Daemon {
         let initial = reload::fingerprint(artifact);
         let handle = Artifact::open(artifact)?;
         let store = GenerationStore::from_handle(handle, obs.clone());
-        Self::start_inner(
-            config,
-            store,
-            Some((artifact.to_path_buf(), initial)),
-            obs,
-        )
+        Self::start_inner(config, store, Some((artifact.to_path_buf(), initial)), obs)
     }
 
     /// Serve an index built in-process (no artifact file, no reload).

@@ -98,8 +98,7 @@ fn handle_conn(stream: TcpStream, ctx: &Ctx) -> Result<(), ServedError> {
         if served > 0 {
             ctx.obs.counter("served.http.keepalive.reuses").inc();
         }
-        let force_close =
-            ctx.max_requests_per_conn > 0 && served + 1 >= ctx.max_requests_per_conn;
+        let force_close = ctx.max_requests_per_conn > 0 && served + 1 >= ctx.max_requests_per_conn;
         let close = serve_one(&mut reader, &mut w, ctx, &line, force_close)?;
         served += 1;
         if close {
@@ -298,7 +297,16 @@ fn serve_one(
                     None => csv.push_str(&format!("{ip},-,-,-\n")),
                 }
             }
-            reply(ctx, w, "served.http.lookup_batch", 200, "OK", CSV, &csv, close)?;
+            reply(
+                ctx,
+                w,
+                "served.http.lookup_batch",
+                200,
+                "OK",
+                CSV,
+                &csv,
+                close,
+            )?;
         }
         _ => {
             // Every other request carries no meaningful body; drain a
@@ -381,8 +389,7 @@ fn serve_one(
                 }
                 ("GET", "/metrics") => {
                     crate::refresh_latency_gauges(&ctx.obs);
-                    let body =
-                        cellobs::ExportFormat::Prometheus.render(&ctx.obs.snapshot());
+                    let body = cellobs::ExportFormat::Prometheus.render(&ctx.obs.snapshot());
                     reply(
                         ctx,
                         w,

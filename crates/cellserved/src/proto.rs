@@ -326,7 +326,10 @@ impl FramedClient {
     /// started alongside a daemon, a supervisor racing a restart.
     pub fn lazy<A: ToSocketAddrs>(addr: A, policy: ClientPolicy) -> std::io::Result<FramedClient> {
         let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "address resolved to nothing")
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "address resolved to nothing",
+            )
         })?;
         Ok(FramedClient {
             addr,

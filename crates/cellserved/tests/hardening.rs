@@ -77,7 +77,11 @@ fn read_response(s: &mut TcpStream) -> (String, String) {
     let head = String::from_utf8_lossy(&head).to_string();
     let len: usize = head
         .lines()
-        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(str::to_string))
+        .find_map(|l| {
+            l.to_ascii_lowercase()
+                .strip_prefix("content-length:")
+                .map(str::to_string)
+        })
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0);
     let mut body = vec![0u8; len];
@@ -120,7 +124,10 @@ fn keepalive_pins_many_requests_on_one_connection() {
         send_request(&mut s, "/generation");
         let (head, body) = read_response(&mut s);
         assert!(head.starts_with("HTTP/1.1 200"), "request {i}: {head}");
-        assert!(head.contains("Connection: keep-alive"), "request {i}: {head}");
+        assert!(
+            head.contains("Connection: keep-alive"),
+            "request {i}: {head}"
+        );
         assert!(body.contains("\"generation\":1"), "request {i}: {body}");
     }
     drop(s);
@@ -237,7 +244,10 @@ fn idle_keepalive_connection_is_closed_quietly() {
     let snap = daemon.shutdown();
     assert_eq!(snap.counters["served.http.idle_closed"], 1);
     assert_eq!(
-        snap.counters.get("served.conns.rejected").copied().unwrap_or(0),
+        snap.counters
+            .get("served.conns.rejected")
+            .copied()
+            .unwrap_or(0),
         0,
         "an idle close is not a rejection"
     );

@@ -758,12 +758,11 @@ impl DeltaEmitter {
 fn lookup(args: &[String]) -> CmdResult {
     setup_threads(args)?;
     let index_path = required(args, "--index")?;
-    let frozen = cellserve::Artifact::open(std::path::Path::new(&index_path)).map_err(
-        |e| match e {
+    let frozen =
+        cellserve::Artifact::open(std::path::Path::new(&index_path)).map_err(|e| match e {
             cellserve::ServeError::Io(why) => CliError::Io(why),
             other => CliError::Data(format!("{index_path}: {other}")),
-        },
-    )?;
+        })?;
     let ips_path = required(args, "--ips")?;
     let queries = io::parse_ip_list(&read(&ips_path)?)
         .map_err(|e| CliError::Data(format!("{ips_path}: {e}")))?;
