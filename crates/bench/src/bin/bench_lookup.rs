@@ -1,4 +1,4 @@
-//! `bench_lookup` — frozen-index serving throughput, summarized as
+//! `bench_lookup` — serving-index lookup throughput, summarized as
 //! `BENCH_lookup.json`.
 //!
 //! ```text
@@ -7,26 +7,27 @@
 //! ```
 //!
 //! Builds a world, classifies it, freezes the classification into the
-//! sealed serving artifact, then replays a seeded `cellload` preset
+//! sealed serving artifact, boots a handle on it from disk the way a
+//! serving process does, then replays a seeded `cellload` preset
 //! (default `steady`, the historical query mix) through the
 //! [`cellserve::QueryEngine`] at one thread and at N threads — each in
 //! its own private rayon pool, so the two measurements run in one
 //! process without fighting over the global pool. The record carries:
 //!
-//! * `artifact_bytes` — size of the sealed (v2, the default) artifact;
+//! * `artifact_bytes` — size of the sealed artifact;
+//! * `cold_start` — the open from disk through
+//!   [`cellserve::Artifact::open`]: wall time, whether it booted off an
+//!   mmap, and `bytes_copied`, the handle's own accounting of every
+//!   byte it copied to become servable (header + level directory when
+//!   mapped — the number the in-place format exists to keep small);
 //! * `single` / `multi` — wall clock and lookups/sec at each width;
 //! * `speedup` — multi ÷ single throughput;
 //! * `stats` — match/cache counters, asserted identical across widths
-//!   (the engine's determinism contract, checked on every bench run);
-//! * `formats.v1` / `formats.v2` — same-run per-format legs: sealed
-//!   size, a cold start from disk through [`cellserve::Artifact::open`]
-//!   (wall time plus `bytes_copied`, the handle's own accounting of
-//!   every byte it copied to become servable — the number the v2 mmap
-//!   path exists to shrink), and single-thread lookups/sec over the
-//!   opened handle. Answers are asserted identical across formats.
+//!   (the engine's determinism contract, checked on every bench run).
 //!
-//! CI's bench-smoke step runs this at mini scale, validates the keys,
-//! and holds the v2 leg to a no-regression bound against v1.
+//! CI's bench-smoke step runs this at mini scale and validates the
+//! keys, that the cold start mapped, and that it copied less than the
+//! file.
 
 use std::fs;
 use std::path::PathBuf;
@@ -120,10 +121,10 @@ fn main() {
     candidates.sort_unstable();
     let mixed = MixedAnalysis::build(&candidates, &aggs, DEDICATED_CFD);
     let frozen = FrozenIndex::from_classification(&class, Some(&mixed));
-    let v1_bytes = Artifact::encode(&frozen, ArtifactFormat::V1);
-    let v2_bytes = Artifact::encode(&frozen, ArtifactFormat::V2);
-    let artifact_bytes = v2_bytes.len();
+    let sealed = Artifact::encode(&frozen, ArtifactFormat::V2);
+    let artifact_bytes = sealed.len();
     let (v4_prefixes, v6_prefixes) = frozen.prefix_counts();
+    let (handle, open_secs) = cold_start(&sealed);
 
     let universe = Universe::from_classification(&class);
     let trace = TraceSpec {
@@ -147,7 +148,7 @@ fn main() {
         preset.name()
     );
 
-    let engine = QueryEngine::new(&frozen);
+    let engine = QueryEngine::new(&handle);
     let (single_secs, single_stats) = measure(&engine, &queries, 1);
     let (multi_secs, multi_stats) = measure(&engine, &queries, multi_threads);
     assert_eq!(
@@ -155,27 +156,9 @@ fn main() {
         "lookup stats must not depend on thread count"
     );
 
-    // Per-format legs: open each sealed artifact from disk the way a
-    // serving process boots, then run the same trace single-threaded
-    // over the opened handle. The two formats must answer identically.
-    let (v1_handle, v1_open_secs) = cold_start(&v1_bytes, "v1");
-    let (v2_handle, v2_open_secs) = cold_start(&v2_bytes, "v2");
-    let (v1_secs, v1_stats) = measure(&QueryEngine::new(&v1_handle), &queries, 1);
-    let (v2_secs, v2_stats) = measure(&QueryEngine::new(&v2_handle), &queries, 1);
-    assert_eq!(
-        single_stats, v1_stats,
-        "v1 handle answers must match the owned index"
-    );
-    assert_eq!(
-        single_stats, v2_stats,
-        "v2 handle answers must match the owned index"
-    );
-
     let n = queries.len() as f64;
     let single_rate = n / single_secs.max(1e-9);
     let multi_rate = n / multi_secs.max(1e-9);
-    let v1_rate = n / v1_secs.max(1e-9);
-    let v2_rate = n / v2_secs.max(1e-9);
     let record = serde_json::json!({
         "scale": scale,
         "seed": seed,
@@ -201,25 +184,10 @@ fn main() {
             "cache_misses": single_stats.cache_misses,
             "uncached": single_stats.uncached,
         },
-        "formats": {
-            "v1": {
-                "artifact_bytes": v1_bytes.len(),
-                "cold_start": {
-                    "bytes_copied": v1_handle.copied_bytes(),
-                    "open_millis": v1_open_secs * 1e3,
-                    "mapped": v1_handle.is_mapped(),
-                },
-                "lookups_per_sec": v1_rate,
-            },
-            "v2": {
-                "artifact_bytes": v2_bytes.len(),
-                "cold_start": {
-                    "bytes_copied": v2_handle.copied_bytes(),
-                    "open_millis": v2_open_secs * 1e3,
-                    "mapped": v2_handle.is_mapped(),
-                },
-                "lookups_per_sec": v2_rate,
-            },
+        "cold_start": {
+            "bytes_copied": handle.copied_bytes(),
+            "open_millis": open_secs * 1e3,
+            "mapped": handle.is_mapped(),
         },
     });
     fs::write(
@@ -229,26 +197,20 @@ fn main() {
     .expect("write benchmark record");
     eprintln!(
         "single {:.0}/s, {multi_threads}-thread {:.0}/s ({:.2}x); \
-         v1 {:.0}/s ({} bytes copied), v2 {:.0}/s ({} bytes copied, mapped={}) → {}",
+         cold start copied {} of {artifact_bytes} bytes (mapped={}) → {}",
         single_rate,
         multi_rate,
         multi_rate / single_rate.max(1e-9),
-        v1_rate,
-        v1_handle.copied_bytes(),
-        v2_rate,
-        v2_handle.copied_bytes(),
-        v2_handle.is_mapped(),
+        handle.copied_bytes(),
+        handle.is_mapped(),
         out.display()
     );
 }
 
-/// Seal `bytes` to a scratch file and boot a handle from it the way a
+/// Write `bytes` to a scratch file and boot a handle from it the way a
 /// serving process does, returning the handle and the open wall time.
-fn cold_start(bytes: &[u8], name: &str) -> (ArtifactHandle, f64) {
-    let path = std::env::temp_dir().join(format!(
-        "bench-lookup-{}-{name}.cellserv",
-        std::process::id()
-    ));
+fn cold_start(bytes: &[u8]) -> (ArtifactHandle, f64) {
+    let path = std::env::temp_dir().join(format!("bench-lookup-{}.cellserv", std::process::id()));
     fs::write(&path, bytes).expect("write sealed artifact to scratch file");
     let t = Instant::now();
     let handle = Artifact::open(&path).expect("open sealed artifact");

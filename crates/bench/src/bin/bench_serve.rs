@@ -120,7 +120,8 @@ fn main() {
         .classify()
         .expect("generated datasets classify at the default threshold");
     let frozen = FrozenIndex::from_classification(&class, None);
-    let artifact_bytes = cellserve::Artifact::encode(&frozen, cellserve::ArtifactFormat::V2).len();
+    let sealed = cellserve::Artifact::encode(&frozen, cellserve::ArtifactFormat::V2);
+    let artifact_bytes = sealed.len();
     let (v4_prefixes, v6_prefixes) = frozen.prefix_counts();
 
     let universe = Universe::from_classification(&class);
@@ -140,13 +141,13 @@ fn main() {
     );
 
     let obs = Observer::enabled();
-    let daemon = Daemon::start_with_index(
+    let daemon = Daemon::start_with_handle(
         ServeConfig {
             tcp_listen: Some("127.0.0.1:0".to_string()),
             workers,
             ..ServeConfig::default()
         },
-        frozen,
+        cellserve::Artifact::from_bytes(&sealed).expect("just-encoded artifact validates"),
         obs.clone(),
     )
     .expect("boot the daemon on an ephemeral port");

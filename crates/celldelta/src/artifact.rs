@@ -1,77 +1,225 @@
-//! Building and applying deltas against sealed CELLSERV artifacts.
+//! Building and applying deltas against sealed CELLSERV v2 artifacts.
 //!
 //! Both directions run on *bytes*, because bytes are what the hashes
-//! chain on: [`build_delta`] decodes base and target artifacts (either
-//! CELLSERV format, sniffed), diffs their entry sets, and seals the
-//! sorted patch with both content hashes embedded; [`apply_delta`]
-//! verifies the base hash, applies the patch strictly, re-freezes
-//! through the canonical [`cellserve::FrozenIndexBuilder`], re-encodes
-//! *in the base's format*, and verifies the result hashes to the
-//! delta's target. Because each CELLSERV encoding is canonical, the
-//! patched bytes are *byte-identical* to what a full rebuild at the
-//! delta's epoch would have produced — the equivalence the crate's
-//! property suite pins down.
+//! chain on, and both read them through the one serving
+//! representation — the validated v2 view ([`cellserve::MappedIndex`])
+//! — whose traversal order (shortest prefix first, keys ascending) is
+//! exactly the `(len, key)` order a delta's ops are sorted in.
+//! [`build_delta`] walks base and target in that order, merge-joins
+//! them, and seals the differing prefixes with both content hashes
+//! embedded. [`apply_delta`] verifies the base hash, merges the base
+//! walk against the sorted op list in **one pass** — strictly: an add
+//! of a present prefix or an update/remove of an absent one is a
+//! conflict — straight into the canonical
+//! [`cellserve::FrozenIndexBuilder`], encodes v2, and verifies the
+//! result hashes to the delta's target. Because the CELLSERV encoding
+//! is canonical, the patched bytes are *byte-identical* to what a full
+//! rebuild at the delta's epoch would have produced — the equivalence
+//! the crate's property suite pins down.
 //!
-//! A delta chains within one format: base and target must sniff to the
-//! same version, so the apply side can reproduce the target bytes
-//! without the delta carrying format metadata. Cross-format moves are
-//! full-artifact operations (`cellspot index migrate`), not deltas.
+//! Apply is O(entries), not O(ops), and that is the chain rule's cost,
+//! not the merge's: the base hash before and the target hash after
+//! each cover the whole canonical artifact.
+//!
+//! CELLSERV v1 artifacts are not patchable; convert them first with
+//! `cellspot index migrate`.
 
-use cellserve::{content_hash, Artifact, AsClass, FrozenIndex, FrozenIndexBuilder, ServeLabel};
+use cellserve::{
+    content_hash, Artifact, ArtifactFormat, AsClass, FrozenIndexBuilder, IndexView, MappedIndex,
+    PrefixCodec, ServeError, ServeLabel,
+};
 use netaddr::{Asn, Ipv4Net, Ipv6Net};
 
-use crate::wire::{apply_family, diff_family, Delta, DeltaError, EntryMap};
+use crate::wire::{Delta, DeltaError, PatchChange, PatchOp};
 
 fn artifact_err(e: impl std::fmt::Display) -> DeltaError {
     DeltaError::Artifact(e.to_string())
 }
 
-/// The entry maps of a frozen index, keyed `(len, key) → (asn, class
-/// byte)` — the representation the patch algebra works on.
-pub(crate) fn entry_maps(index: &FrozenIndex) -> (EntryMap<u32>, EntryMap<u128>) {
-    let v4 = index
-        .entries_v4()
-        .map(|(net, l)| ((net.len(), net.addr()), (l.asn.value(), l.class.to_byte())))
-        .collect();
-    let v6 = index
-        .entries_v6()
-        .map(|(net, l)| ((net.len(), net.addr()), (l.asn.value(), l.class.to_byte())))
-        .collect();
-    (v4, v6)
+/// Validate `bytes` as the v2 artifact a delta can chain on.
+fn open_v2<'a>(role: &str, bytes: &'a [u8]) -> Result<MappedIndex<&'a [u8]>, DeltaError> {
+    MappedIndex::new(bytes).map_err(|e| {
+        DeltaError::Artifact(match e {
+            ServeError::UnsupportedVersion(v) => format!(
+                "{role} artifact is CELLSERV v{v}; deltas chain on v2 bytes only — \
+                 migrate first (`cellspot index migrate`)"
+            ),
+            e => format!("{role} artifact: {e}"),
+        })
+    })
 }
 
-fn index_from_maps(v4: &EntryMap<u32>, v6: &EntryMap<u128>) -> Result<FrozenIndex, DeltaError> {
-    let mut builder = FrozenIndexBuilder::new();
-    for (&(len, key), &(asn, class)) in v4 {
-        let net = Ipv4Net::new(key, len).map_err(artifact_err)?;
-        let class = AsClass::from_byte(class)
-            .ok_or_else(|| DeltaError::Artifact(format!("invalid class byte {class}")))?;
-        builder.insert_v4(
-            net,
-            ServeLabel {
-                asn: Asn(asn),
-                class,
-            },
-        );
+/// What the diff and the merge need to know about one address family:
+/// how its keys map to the net type the view yields and the builder
+/// takes. Implemented for `u32` (IPv4) and `u128` (IPv6).
+trait Family: PrefixCodec {
+    type Net: Copy;
+    fn at(net: &Self::Net) -> (u8, Self);
+    fn net(len: u8, key: Self) -> Result<Self::Net, DeltaError>;
+    fn walk(view: &dyn IndexView, f: &mut dyn FnMut(Self::Net, ServeLabel));
+    fn insert(builder: &mut FrozenIndexBuilder, net: Self::Net, label: ServeLabel);
+}
+
+impl Family for u32 {
+    type Net = Ipv4Net;
+    fn at(net: &Ipv4Net) -> (u8, u32) {
+        (net.len(), net.addr())
     }
-    for (&(len, key), &(asn, class)) in v6 {
-        let net = Ipv6Net::new(key, len).map_err(artifact_err)?;
-        let class = AsClass::from_byte(class)
-            .ok_or_else(|| DeltaError::Artifact(format!("invalid class byte {class}")))?;
-        builder.insert_v6(
-            net,
-            ServeLabel {
-                asn: Asn(asn),
-                class,
-            },
-        );
+    fn net(len: u8, key: u32) -> Result<Ipv4Net, DeltaError> {
+        Ipv4Net::new(key, len).map_err(artifact_err)
     }
-    Ok(builder.build())
+    fn walk(view: &dyn IndexView, f: &mut dyn FnMut(Ipv4Net, ServeLabel)) {
+        view.for_each_v4(f)
+    }
+    fn insert(builder: &mut FrozenIndexBuilder, net: Ipv4Net, label: ServeLabel) {
+        builder.insert_v4(net, label)
+    }
+}
+
+impl Family for u128 {
+    type Net = Ipv6Net;
+    fn at(net: &Ipv6Net) -> (u8, u128) {
+        (net.len(), net.addr())
+    }
+    fn net(len: u8, key: u128) -> Result<Ipv6Net, DeltaError> {
+        Ipv6Net::new(key, len).map_err(artifact_err)
+    }
+    fn walk(view: &dyn IndexView, f: &mut dyn FnMut(Ipv6Net, ServeLabel)) {
+        view.for_each_v6(f)
+    }
+    fn insert(builder: &mut FrozenIndexBuilder, net: Ipv6Net, label: ServeLabel) {
+        builder.insert_v6(net, label)
+    }
+}
+
+fn at<K: Copy>(op: &PatchOp<K>) -> (u8, K) {
+    (op.len, op.key)
+}
+
+fn conflict<K: PrefixCodec>(what: &str, op: &PatchOp<K>) -> DeltaError {
+    DeltaError::PatchConflict(format!("{what} prefix {:x}/{}", op.key, op.len))
+}
+
+fn label(asn: u32, class: u8) -> Result<ServeLabel, DeltaError> {
+    let class = AsClass::from_byte(class)
+        .ok_or_else(|| DeltaError::Artifact(format!("invalid class byte {class}")))?;
+    Ok(ServeLabel {
+        asn: Asn(asn),
+        class,
+    })
+}
+
+/// One family's entries in canonical order, which is `(len, key)`
+/// ascending — the order ops are sorted in on the wire.
+fn entries<K: Family>(view: &dyn IndexView) -> Vec<((u8, K), ServeLabel)> {
+    let mut out = Vec::new();
+    K::walk(view, &mut |net, label| out.push((K::at(&net), label)));
+    out
+}
+
+/// The minimal patch turning `base` into `target`: a sorted merge-join
+/// over the two canonical walks emitting one op per differing prefix.
+fn diff_family<K: Family>(base: &dyn IndexView, target: &dyn IndexView) -> Vec<PatchOp<K>> {
+    let (base, target) = (entries::<K>(base), entries::<K>(target));
+    let (mut b, mut t) = (base.iter().peekable(), target.iter().peekable());
+    let mut ops = Vec::new();
+    let set = |l: &ServeLabel| (l.asn.value(), l.class.to_byte());
+    loop {
+        let cmp = match (b.peek(), t.peek()) {
+            (None, None) => break,
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (Some((bk, _)), Some((tk, _))) => bk.cmp(tk),
+        };
+        let (&((len, key), _), change) = match cmp {
+            std::cmp::Ordering::Less => (b.next().expect("peeked"), PatchChange::Remove),
+            std::cmp::Ordering::Greater => {
+                let e = t.next().expect("peeked");
+                let (asn, class) = set(&e.1);
+                (e, PatchChange::Add { asn, class })
+            }
+            std::cmp::Ordering::Equal => {
+                let (old, new) = (b.next().expect("peeked"), t.next().expect("peeked"));
+                if old.1 == new.1 {
+                    continue;
+                }
+                let (asn, class) = set(&new.1);
+                (new, PatchChange::Update { asn, class })
+            }
+        };
+        ops.push(PatchOp { len, key, change });
+    }
+    ops
+}
+
+/// An op naming a prefix the base lacks: only an add is consistent.
+fn apply_absent<K: Family>(
+    op: &PatchOp<K>,
+    out: &mut FrozenIndexBuilder,
+) -> Result<(), DeltaError> {
+    match op.change {
+        PatchChange::Add { asn, class } => {
+            K::insert(out, K::net(op.len, op.key)?, label(asn, class)?);
+            Ok(())
+        }
+        PatchChange::Update { .. } => Err(conflict("update of absent", op)),
+        PatchChange::Remove => Err(conflict("remove of absent", op)),
+    }
+}
+
+/// Merge one family of `base` against its sorted patch ops, in one
+/// pass, into `out`. Strict: an add of a present prefix, or an
+/// update/remove of an absent one, is a [`DeltaError::PatchConflict`] —
+/// the delta was built against a different base than it is being
+/// applied to.
+fn patch_family<K: Family>(
+    base: &dyn IndexView,
+    ops: &[PatchOp<K>],
+    out: &mut FrozenIndexBuilder,
+) -> Result<(), DeltaError> {
+    // One pass is only sound over masked, strictly ascending ops.
+    // `Delta::from_bytes` guarantees that; a `Delta` built in memory
+    // reaches `apply_parsed` unchecked.
+    for (i, op) in ops.iter().enumerate() {
+        if op.len > K::BITS || op.key.and(K::mask(op.len)) != op.key {
+            return Err(DeltaError::Corrupt(format!("non-canonical key in op {i}")));
+        }
+        if i > 0 && at(&ops[i - 1]) >= at(op) {
+            return Err(DeltaError::Corrupt(format!("ops out of order at op {i}")));
+        }
+    }
+    let mut next = 0;
+    let mut result = Ok(());
+    K::walk(base, &mut |net, base_label| {
+        if result.is_err() {
+            return;
+        }
+        result = (|| {
+            let here = K::at(&net);
+            while next < ops.len() && at(&ops[next]) < here {
+                apply_absent(&ops[next], out)?;
+                next += 1;
+            }
+            let Some(op) = ops.get(next).filter(|op| at(op) == here) else {
+                K::insert(out, net, base_label);
+                return Ok(());
+            };
+            next += 1;
+            match op.change {
+                PatchChange::Remove => {}
+                PatchChange::Update { asn, class } => K::insert(out, net, label(asn, class)?),
+                PatchChange::Add { .. } => return Err(conflict("add of already-present", op)),
+            }
+            Ok(())
+        })();
+    });
+    result?;
+    ops[next..].iter().try_for_each(|op| apply_absent(op, out))
 }
 
 /// Build a sealed delta advancing `base_bytes` (built at `base_epoch`)
 /// to `target_bytes` (built at `epoch`). Both inputs must be valid
-/// sealed CELLSERV artifacts, and `epoch` must advance past
+/// sealed CELLSERV v2 artifacts, and `epoch` must advance past
 /// `base_epoch`.
 pub fn build_delta(
     base_bytes: &[u8],
@@ -85,26 +233,15 @@ pub fn build_delta(
             delta: epoch,
         });
     }
-    let base_format = Artifact::sniff_format(base_bytes);
-    let target_format = Artifact::sniff_format(target_bytes);
-    if base_format.is_some() && target_format.is_some() && base_format != target_format {
-        return Err(DeltaError::Artifact(format!(
-            "base ({}) and target ({}) artifact formats differ; migrate first",
-            base_format.expect("checked"),
-            target_format.expect("checked"),
-        )));
-    }
-    let base = Artifact::decode(base_bytes).map_err(artifact_err)?;
-    let target = Artifact::decode(target_bytes).map_err(artifact_err)?;
-    let (b4, b6) = entry_maps(&base);
-    let (t4, t6) = entry_maps(&target);
+    let base = open_v2("base", base_bytes)?;
+    let target = open_v2("target", target_bytes)?;
     let delta = Delta {
         base_hash: content_hash(base_bytes),
         target_hash: content_hash(target_bytes),
         base_epoch,
         epoch,
-        v4: diff_family(&b4, &t4),
-        v6: diff_family(&b6, &t6),
+        v4: diff_family(&base, &target),
+        v6: diff_family(&base, &target),
     };
     Ok(delta.to_bytes())
 }
@@ -121,14 +258,11 @@ pub fn apply_parsed(base_bytes: &[u8], delta: &Delta) -> Result<Vec<u8>, DeltaEr
             artifact,
         });
     }
-    let format = Artifact::sniff_format(base_bytes)
-        .ok_or_else(|| DeltaError::Artifact("unrecognized base artifact format".into()))?;
-    let base = Artifact::decode(base_bytes).map_err(artifact_err)?;
-    let (b4, b6) = entry_maps(&base);
-    let p4 = apply_family(&b4, &delta.v4)?;
-    let p6 = apply_family(&b6, &delta.v6)?;
-    let patched = index_from_maps(&p4, &p6)?;
-    let bytes = Artifact::encode(&patched, format);
+    let base = open_v2("base", base_bytes)?;
+    let mut patched = FrozenIndexBuilder::new();
+    patch_family(&base, &delta.v4, &mut patched)?;
+    patch_family(&base, &delta.v6, &mut patched)?;
+    let bytes = Artifact::encode(&patched.build(), ArtifactFormat::V2);
     let actual = content_hash(&bytes);
     if actual != delta.target_hash {
         return Err(DeltaError::TargetMismatch {
@@ -150,7 +284,7 @@ pub fn apply_delta(base_bytes: &[u8], delta_bytes: &[u8]) -> Result<Vec<u8>, Del
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellserve::{ArtifactFormat, FrozenIndex};
+    use cellserve::FrozenIndex;
 
     fn index(entries: &[(&str, u32, AsClass)]) -> FrozenIndex {
         let mut b = FrozenIndex::builder();
@@ -211,28 +345,27 @@ mod tests {
     }
 
     #[test]
-    fn deltas_chain_within_the_v1_format_too() {
-        let base = Artifact::encode(
-            &index(&[("10.0.0.0/24", 1, AsClass::Dedicated)]),
-            ArtifactFormat::V1,
-        );
-        let target = Artifact::encode(
-            &index(&[("10.0.0.0/24", 1, AsClass::Mixed)]),
-            ArtifactFormat::V1,
-        );
-        let delta_bytes = build_delta(&base, &target, 1, 2).expect("build");
-        let patched = apply_delta(&base, &delta_bytes).expect("apply");
-        assert_eq!(patched, target, "v1 apply reproduces v1 target bytes");
-    }
-
-    #[test]
-    fn mixed_format_endpoints_are_rejected_at_build_time() {
+    fn v1_endpoints_are_refused_with_the_migrate_hint() {
         let idx = index(&[("10.0.0.0/24", 1, AsClass::Dedicated)]);
         let v1 = Artifact::encode(&idx, ArtifactFormat::V1);
         let v2 = Artifact::encode(&idx, ArtifactFormat::V2);
-        let err = build_delta(&v1, &v2, 1, 2).expect_err("mixed formats");
+        for (base, target) in [(&v1, &v2), (&v2, &v1), (&v1, &v1)] {
+            let err = build_delta(base, target, 1, 2).expect_err("v1 endpoint");
+            assert!(matches!(err, DeltaError::Artifact(_)), "{err}");
+            assert!(err.to_string().contains("migrate first"), "{err}");
+        }
+        // A delta that names a v1 file as its base does not apply either.
+        let delta = Delta {
+            base_hash: content_hash(&v1),
+            target_hash: content_hash(&v2),
+            base_epoch: 1,
+            epoch: 2,
+            v4: Vec::new(),
+            v6: Vec::new(),
+        };
+        let err = apply_parsed(&v1, &delta).expect_err("v1 base");
         assert!(matches!(err, DeltaError::Artifact(_)), "{err}");
-        assert!(err.to_string().contains("formats differ"), "{err}");
+        assert!(err.to_string().contains("migrate first"), "{err}");
     }
 
     #[test]
@@ -247,18 +380,150 @@ mod tests {
         let base = artifact(&[("10.0.0.0/24", 1, AsClass::Dedicated)]);
         let target = artifact(&[("10.0.0.0/24", 1, AsClass::Mixed)]);
         let delta_bytes = build_delta(&base, &target, 1, 2).expect("build");
-        // Hash the delta actually chains on, but with corrupted body:
-        // impossible in practice (hash would move), so forge the hash.
         let mut garbage = base.clone();
         let mid = garbage.len() / 2;
         garbage[mid] ^= 0x40;
-        let err = apply_delta(&garbage, &delta_bytes).expect_err("corrupt base");
         // The hash moved, so this surfaces as a base mismatch — the
         // delta never chains onto corrupted bytes.
+        let err = apply_delta(&garbage, &delta_bytes).expect_err("corrupt base");
         assert!(matches!(err, DeltaError::BaseMismatch { .. }), "{err}");
+        // A delta forged to name the corrupted bytes gets past the
+        // hash and is stopped by validation instead.
+        let mut forged = Delta::from_bytes(&delta_bytes).expect("decode");
+        forged.base_hash = content_hash(&garbage);
+        let err = apply_parsed(&garbage, &forged).expect_err("corrupt base");
+        assert!(matches!(err, DeltaError::Artifact(_)), "{err}");
         assert!(
             build_delta(&garbage, &target, 1, 2).is_err(),
-            "corrupt base fails decode"
+            "corrupt base fails validation"
+        );
+    }
+
+    /// Canonical order of the three base entries: the /8 first, then
+    /// the two /24s ascending — so there is room for an op before the
+    /// first entry, between entries, and after the last.
+    const BASE: [(&str, u32, AsClass); 3] = [
+        ("10.0.0.0/8", 1, AsClass::Dedicated),
+        ("192.0.2.0/24", 2, AsClass::Mixed),
+        ("198.51.100.0/24", 3, AsClass::Unknown),
+    ];
+    const BEFORE: (u8, u32) = (4, 0x1000_0000);
+    const BETWEEN: (u8, u32) = (24, 0xC100_0000);
+    const AFTER: (u8, u32) = (32, 0x0102_0304);
+    const PRESENT: [(u8, u32); 3] = [(8, 0x0A00_0000), (24, 0xC000_0200), (24, 0xC633_6400)];
+
+    /// Apply hand-built v4 ops to [`BASE`] through `apply_parsed`, the
+    /// base hash matching so only the merge can object.
+    fn apply_ops(ops: Vec<PatchOp<u32>>, target_hash: u64) -> Result<Vec<u8>, DeltaError> {
+        let base = artifact(&BASE);
+        let delta = Delta {
+            base_hash: content_hash(&base),
+            target_hash,
+            base_epoch: 1,
+            epoch: 2,
+            v4: ops,
+            v6: Vec::new(),
+        };
+        apply_parsed(&base, &delta)
+    }
+
+    fn op((len, key): (u8, u32), change: PatchChange) -> PatchOp<u32> {
+        PatchOp { len, key, change }
+    }
+
+    #[test]
+    fn each_conflict_class_is_refused_wherever_the_op_sorts() {
+        for at in PRESENT {
+            let err = apply_ops(vec![op(at, PatchChange::Add { asn: 9, class: 1 })], 0)
+                .expect_err("add of a present prefix");
+            assert!(matches!(err, DeltaError::PatchConflict(_)), "{at:?}: {err}");
+            assert!(err.to_string().contains("already-present"), "{err}");
+        }
+        for at in [BEFORE, BETWEEN, AFTER] {
+            let err = apply_ops(vec![op(at, PatchChange::Update { asn: 9, class: 1 })], 0)
+                .expect_err("update of an absent prefix");
+            assert!(matches!(err, DeltaError::PatchConflict(_)), "{at:?}: {err}");
+            assert!(err.to_string().contains("update of absent"), "{err}");
+
+            let err =
+                apply_ops(vec![op(at, PatchChange::Remove)], 0).expect_err("remove of an absent");
+            assert!(matches!(err, DeltaError::PatchConflict(_)), "{at:?}: {err}");
+            assert!(err.to_string().contains("remove of absent"), "{err}");
+        }
+        // A conflict behind valid ops is still found: the merge does
+        // not stop checking once it has passed the last base entry.
+        let err = apply_ops(
+            vec![
+                op(BEFORE, PatchChange::Add { asn: 9, class: 1 }),
+                op(PRESENT[1], PatchChange::Remove),
+                op(AFTER, PatchChange::Remove),
+            ],
+            0,
+        )
+        .expect_err("trailing remove of an absent prefix");
+        assert!(matches!(err, DeltaError::PatchConflict(_)), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_class_bytes_are_an_artifact_error_not_a_panic() {
+        for at in [BEFORE, BETWEEN, AFTER] {
+            let err = apply_ops(vec![op(at, PatchChange::Add { asn: 9, class: 3 })], 0)
+                .expect_err("class byte 3 in an add");
+            assert!(matches!(err, DeltaError::Artifact(_)), "{at:?}: {err}");
+        }
+        for at in PRESENT {
+            let err = apply_ops(vec![op(at, PatchChange::Update { asn: 9, class: 255 })], 0)
+                .expect_err("class byte 255 in an update");
+            assert!(matches!(err, DeltaError::Artifact(_)), "{at:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn hand_built_ops_must_be_canonical_and_sorted() {
+        let add = PatchChange::Add { asn: 9, class: 1 };
+        // Descending, and a duplicate key.
+        for ops in [
+            vec![op(AFTER, add), op(BEFORE, add)],
+            vec![op(BETWEEN, add), op(BETWEEN, add)],
+        ] {
+            let err = apply_ops(ops, 0).expect_err("unsorted ops");
+            assert!(matches!(err, DeltaError::Corrupt(_)), "{err}");
+        }
+        // Host bits below the mask, and a length no IPv4 prefix has.
+        for at in [(8, 0x0A00_0001), (33, 0)] {
+            let err = apply_ops(vec![op(at, add)], 0).expect_err("non-canonical op");
+            assert!(matches!(err, DeltaError::Corrupt(_)), "{at:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn ops_at_every_position_merge_and_the_target_hash_is_enforced() {
+        let ops = vec![
+            op(BEFORE, PatchChange::Add { asn: 7, class: 2 }),
+            op(PRESENT[0], PatchChange::Update { asn: 1, class: 2 }),
+            op(PRESENT[1], PatchChange::Remove),
+            op(BETWEEN, PatchChange::Add { asn: 8, class: 0 }),
+            op(AFTER, PatchChange::Add { asn: 9, class: 1 }),
+        ];
+        let target = artifact(&[
+            ("16.0.0.0/4", 7, AsClass::Mixed),
+            ("10.0.0.0/8", 1, AsClass::Mixed),
+            ("193.0.0.0/24", 8, AsClass::Unknown),
+            ("198.51.100.0/24", 3, AsClass::Unknown),
+            ("1.2.3.4/32", 9, AsClass::Dedicated),
+        ]);
+        let patched = apply_ops(ops.clone(), content_hash(&target)).expect("clean merge");
+        assert_eq!(patched, target);
+
+        // The same ops under any other promised hash are refused after
+        // the merge: the delta was built against different contents.
+        let err = apply_ops(ops, content_hash(&target) ^ 1).expect_err("wrong target hash");
+        assert_eq!(
+            err,
+            DeltaError::TargetMismatch {
+                expected: content_hash(&target) ^ 1,
+                actual: content_hash(&target),
+            }
         );
     }
 }

@@ -217,6 +217,7 @@ impl IncrementalClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellserve::{Artifact, ArtifactFormat, IndexView};
     use netaddr::{Block24, Block48};
 
     fn block(i: u32, asn: u32, netinfo: u64, cellular: u64, du: f64) -> BlockCounters {
@@ -254,7 +255,9 @@ mod tests {
                 block(4, 3, 10, 0, 9.0),
             ],
         );
-        let index = classify_epoch(&counters, 0.5);
+        // Observed the way consumers see it: sealed, loaded, looked up.
+        let sealed = Artifact::encode(&classify_epoch(&counters, 0.5), ArtifactFormat::V2);
+        let index = Artifact::from_bytes(&sealed).expect("classified index seals");
         assert_eq!(index.prefix_counts(), (2, 1));
         let (_, l1) = index
             .lookup_v4(Block24::from_index(1).addr(9))

@@ -17,10 +17,13 @@
 //!   ([`Delta`], [`build_delta`], [`apply_delta`]): a base generation
 //!   referenced by content hash plus a sorted add/update/remove patch
 //!   set, with the same canonical encoding and [`cellseal`] envelope
-//!   as CELLSERV. `apply(base, delta)` verifies the base hash, patches
-//!   strictly, and re-freezes through the canonical builder —
-//!   producing bytes *identical* to a full `index build` at the
-//!   delta's epoch (the crate's property suite pins this down).
+//!   as CELLSERV. `apply(base, delta)` verifies the base hash, merges
+//!   the base's v2 bytes against the sorted ops in one strict pass
+//!   into the canonical builder, and re-seals v2 — producing bytes
+//!   *identical* to a full `index build` at the delta's epoch (the
+//!   crate's property suite pins this down). Deltas chain on v2
+//!   artifacts only; a v1 file is converted first with
+//!   `cellspot index migrate`.
 //!
 //! The serving side (`cellserved`) picks deltas up from disk and
 //! hot-swaps the patched generation under traffic; wrong-base, stale,
@@ -46,7 +49,4 @@ pub use artifact::{apply_delta, apply_parsed, build_delta};
 pub use churn::ChurnWorld;
 pub use classify::{classify_epoch, IncrementalClassifier};
 pub use counters::{changed_blocks, BlockCounters, EpochCounters};
-pub use wire::{
-    apply_family, diff_family, Delta, DeltaError, EntryMap, PatchChange, PatchOp, DELTA_MAGIC,
-    DELTA_VERSION,
-};
+pub use wire::{Delta, DeltaError, PatchChange, PatchOp, DELTA_MAGIC, DELTA_VERSION};

@@ -1,4 +1,6 @@
-//! The sealed CELLDELT delta format and the patch algebra it carries.
+//! The sealed CELLDELT delta format: the patch set and its codec. (The
+//! diff that produces one and the merge that applies one live in
+//! `artifact.rs`, next to the artifacts they read.)
 //!
 //! A delta is a *sorted patch set* chained onto a base CELLSERV
 //! artifact by content hash:
@@ -29,7 +31,6 @@
 //! corruption or truncation, and structural re-validation (sortedness,
 //! masked keys, op/class byte ranges) past the seal.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use cellseal::Reader;
@@ -116,13 +117,6 @@ impl From<cellseal::SealError> for DeltaError {
 fn corrupt(why: impl Into<String>) -> DeltaError {
     DeltaError::Corrupt(why.into())
 }
-
-/// One family's entry set, keyed exactly like
-/// `cellserve::FrozenIndexBuilder`'s internal maps: `(prefix_len,
-/// masked_key) → (asn, class_byte)`. BTreeMap iteration order — length
-/// ascending, key ascending within a length — is the canonical op
-/// order on the wire.
-pub type EntryMap<K> = BTreeMap<(u8, K), (u32, u8)>;
 
 /// What a patch op does to its prefix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -299,99 +293,6 @@ fn decode_ops<K: PrefixCodec>(r: &mut Reader<'_>) -> Result<Vec<PatchOp<K>>, Del
     Ok(ops)
 }
 
-fn fmt_prefix<K: PrefixCodec>(len: u8, key: K) -> String {
-    format!("{key:x}/{len}")
-}
-
-/// The minimal patch turning `base` into `target`: a sorted merge-join
-/// over the two entry maps emitting one op per differing prefix, in
-/// exactly the `(len, key)`-ascending order the wire format requires.
-pub fn diff_family<K: PrefixCodec>(base: &EntryMap<K>, target: &EntryMap<K>) -> Vec<PatchOp<K>> {
-    let mut ops = Vec::new();
-    let mut b = base.iter().peekable();
-    let mut t = target.iter().peekable();
-    loop {
-        let cmp = match (b.peek(), t.peek()) {
-            (None, None) => break,
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (Some((bk, _)), Some((tk, _))) => bk.cmp(tk),
-        };
-        match cmp {
-            std::cmp::Ordering::Less => {
-                let (&(len, key), _) = b.next().expect("peeked");
-                ops.push(PatchOp {
-                    len,
-                    key,
-                    change: PatchChange::Remove,
-                });
-            }
-            std::cmp::Ordering::Greater => {
-                let (&(len, key), &(asn, class)) = t.next().expect("peeked");
-                ops.push(PatchOp {
-                    len,
-                    key,
-                    change: PatchChange::Add { asn, class },
-                });
-            }
-            std::cmp::Ordering::Equal => {
-                let (&(len, key), bv) = b.next().expect("peeked");
-                let (_, tv) = t.next().expect("peeked");
-                if bv != tv {
-                    let &(asn, class) = tv;
-                    ops.push(PatchOp {
-                        len,
-                        key,
-                        change: PatchChange::Update { asn, class },
-                    });
-                }
-            }
-        }
-    }
-    ops
-}
-
-/// Apply a family's patch ops to a base entry map, strictly: an add of
-/// a present prefix, or an update/remove of an absent one, is a
-/// [`DeltaError::PatchConflict`] — the delta was built against a
-/// different base than it is being applied to.
-pub fn apply_family<K: PrefixCodec>(
-    base: &EntryMap<K>,
-    ops: &[PatchOp<K>],
-) -> Result<EntryMap<K>, DeltaError> {
-    let mut out = base.clone();
-    for op in ops {
-        let at = (op.len, op.key);
-        match op.change {
-            PatchChange::Remove => {
-                if out.remove(&at).is_none() {
-                    return Err(DeltaError::PatchConflict(format!(
-                        "remove of absent prefix {}",
-                        fmt_prefix(op.len, op.key)
-                    )));
-                }
-            }
-            PatchChange::Add { asn, class } => {
-                if out.insert(at, (asn, class)).is_some() {
-                    return Err(DeltaError::PatchConflict(format!(
-                        "add of already-present prefix {}",
-                        fmt_prefix(op.len, op.key)
-                    )));
-                }
-            }
-            PatchChange::Update { asn, class } => {
-                if out.insert(at, (asn, class)).is_none() {
-                    return Err(DeltaError::PatchConflict(format!(
-                        "update of absent prefix {}",
-                        fmt_prefix(op.len, op.key)
-                    )));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,69 +411,5 @@ mod tests {
         delta.v4[0].key |= 1; // bits below the /8 mask
         let err = Delta::from_bytes(&delta.to_bytes()).expect_err("unmasked key");
         assert!(err.to_string().contains("non-canonical"), "{err}");
-    }
-
-    fn v4_map(entries: &[(u8, u32, u32, u8)]) -> EntryMap<u32> {
-        entries
-            .iter()
-            .map(|&(len, key, asn, class)| ((len, key), (asn, class)))
-            .collect()
-    }
-
-    #[test]
-    fn diff_then_apply_reproduces_the_target() {
-        let base = v4_map(&[
-            (8, 0x0A00_0000, 1, 1),
-            (24, 0xC000_0200, 2, 2),
-            (24, 0xC633_6400, 3, 1),
-        ]);
-        let target = v4_map(&[
-            (8, 0x0A00_0000, 1, 1),  // unchanged
-            (24, 0xC000_0200, 2, 1), // label update
-            (24, 0xCB00_7100, 4, 2), // added
-        ]);
-        let ops = diff_family(&base, &target);
-        assert_eq!(ops.len(), 3, "one op per differing prefix: {ops:?}");
-        assert!(ops
-            .windows(2)
-            .all(|w| (w[0].len, w[0].key) < (w[1].len, w[1].key)));
-        let patched = apply_family(&base, &ops).expect("clean apply");
-        assert_eq!(patched, target);
-
-        // Diffing a map against itself is empty.
-        assert!(diff_family(&base, &base).is_empty());
-        assert_eq!(apply_family(&base, &[]).expect("empty apply"), base);
-    }
-
-    #[test]
-    fn apply_conflicts_are_rejected() {
-        let base = v4_map(&[(24, 0xC000_0200, 2, 2)]);
-        let absent = PatchOp {
-            len: 24,
-            key: 0x0A00_0000,
-            change: PatchChange::Remove,
-        };
-        assert!(matches!(
-            apply_family(&base, &[absent]),
-            Err(DeltaError::PatchConflict(_))
-        ));
-        let present = PatchOp {
-            len: 24,
-            key: 0xC000_0200,
-            change: PatchChange::Add { asn: 9, class: 1 },
-        };
-        assert!(matches!(
-            apply_family(&base, &[present]),
-            Err(DeltaError::PatchConflict(_))
-        ));
-        let update_absent = PatchOp {
-            len: 24,
-            key: 0x0A00_0000,
-            change: PatchChange::Update { asn: 9, class: 1 },
-        };
-        assert!(matches!(
-            apply_family(&base, &[update_absent]),
-            Err(DeltaError::PatchConflict(_))
-        ));
     }
 }

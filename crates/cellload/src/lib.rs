@@ -3,13 +3,13 @@
 //!
 //! The paper's classification is only as credible as the workloads it
 //! survives. This crate turns the live prefix universe (a
-//! [`cellspot::Classification`] or a loaded [`cellserve::FrozenIndex`])
+//! [`cellspot::Classification`] or a loaded [`cellserve::ArtifactHandle`])
 //! into **named, seeded query traces** — Zipf-skewed popularity,
 //! diurnal intensity cycles, flash crowds, cache-busting scans, and
 //! mid-trace churn that tracks CELLDELT epochs — and replays them
 //! **closed-loop** against three targets:
 //!
-//! - the in-process [`cellserve::QueryEngine`] over a `FrozenIndex`,
+//! - the in-process [`cellserve::QueryEngine`] over the loaded artifact,
 //! - a live `cellspot serve` daemon over its framed TCP protocol
 //!   (via [`cellserved::FramedClient`]),
 //! - the same daemon over bulk HTTP `POST /lookup`.

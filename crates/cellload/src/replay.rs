@@ -208,9 +208,9 @@ impl ReplayOutcome {
 /// Replay directly against [`QueryEngine`], resolving the index for
 /// each segment's epoch through `index_for` (a constant function for
 /// single-segment presets; an epoch → artifact map for `churn`).
-/// Generic over the served representation: any
-/// [`cellserve::IndexView`] — an owned [`FrozenIndex`], a zero-copy
-/// [`cellserve::ArtifactHandle`] — replays identically.
+/// Generic over [`cellserve::IndexView`]; in practice the
+/// [`cellserve::ArtifactHandle`] a daemon would serve, so the engine
+/// leg replays the very representation the TCP/HTTP legs do.
 ///
 /// The engine cannot drop queries, so `dropped` is always 0 here; the
 /// field exists so all three modes share one outcome shape.

@@ -1,6 +1,6 @@
 //! The prefix universe traces are generated over.
 
-use cellserve::{FrozenIndex, IndexView};
+use cellserve::IndexView;
 use cellspot::Classification;
 use netaddr::{Block24, Block48, BlockId};
 
@@ -15,12 +15,12 @@ use netaddr::{Block24, Block48, BlockId};
 ///
 /// - [`Universe::from_classification`] keeps [`Classification::iter`]'s
 ///   sorted-by-block-id order.
-/// - [`Universe::from_frozen`] walks [`FrozenIndex::entries_v4`] /
-///   [`FrozenIndex::entries_v6`] (canonical order: shortest prefix
-///   first, keys ascending) and collapses each served prefix to the
-///   /24 or /48 block containing its first address. For artifacts built
-///   from a classification — all-/24 and all-/48 — that is exactly the
-///   classification's block list.
+/// - [`Universe::from_view`] walks a loaded artifact's
+///   [`IndexView::for_each_v4`] / [`IndexView::for_each_v6`] (canonical
+///   order: shortest prefix first, keys ascending) and collapses each
+///   served prefix to the /24 or /48 block containing its first
+///   address. For artifacts built from a classification — all-/24 and
+///   all-/48 — that is exactly the classification's block list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Universe {
     /// IPv4 /24 blocks, ascending by block index.
@@ -43,9 +43,9 @@ impl Universe {
         Universe { v4, v6 }
     }
 
-    /// The universe of any loaded artifact view — owned
-    /// [`FrozenIndex`], zero-copy [`cellserve::MappedIndex`], or
-    /// [`cellserve::ArtifactHandle`]: one block per served prefix,
+    /// The universe of a loaded artifact — a
+    /// [`cellserve::ArtifactHandle`] or a borrowed
+    /// [`cellserve::MappedIndex`]: one block per served prefix,
     /// deduplicated.
     pub fn from_view<V: IndexView + ?Sized>(index: &V) -> Universe {
         let mut v4: Vec<Block24> = Vec::new();
@@ -57,12 +57,6 @@ impl Universe {
         v6.sort_by_key(|b| b.index());
         v6.dedup();
         Universe { v4, v6 }
-    }
-
-    /// [`Universe::from_view`] for an owned [`FrozenIndex`] — kept for
-    /// call sites that predate the view API.
-    pub fn from_frozen(index: &FrozenIndex) -> Universe {
-        Self::from_view(index)
     }
 
     /// Total number of blocks across both families.

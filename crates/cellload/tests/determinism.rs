@@ -15,7 +15,8 @@ use rand::{Rng, SeedableRng};
 fn universe_for_epoch(world: &ChurnWorld, epoch: u64) -> Universe {
     let frozen =
         celldelta::classify_epoch(&world.epoch_counters(epoch), cellspot::DEFAULT_THRESHOLD);
-    Universe::from_frozen(&frozen)
+    let sealed = cellserve::Artifact::encode(&frozen, cellserve::ArtifactFormat::V2);
+    Universe::from_view(&cellserve::Artifact::from_bytes(&sealed).expect("sealed artifact loads"))
 }
 
 fn generate_in_pool(spec: &TraceSpec, universes: &[Universe], threads: usize) -> Trace {

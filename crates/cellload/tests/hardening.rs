@@ -14,12 +14,16 @@ use cellload::{
     Universe,
 };
 use cellobs::Observer;
-use cellserve::FrozenIndex;
+use cellserve::{Artifact, ArtifactFormat, ArtifactHandle};
 use cellserved::{Daemon, ServeConfig};
 
-fn frozen() -> FrozenIndex {
+/// A freshly loaded handle on the demo world's epoch-0 artifact; every
+/// call seals the same bytes.
+fn loaded() -> ArtifactHandle {
     let world = ChurnWorld::demo(17);
-    celldelta::classify_epoch(&world.epoch_counters(0), cellspot::DEFAULT_THRESHOLD)
+    let index = celldelta::classify_epoch(&world.epoch_counters(0), cellspot::DEFAULT_THRESHOLD);
+    Artifact::from_bytes(&Artifact::encode(&index, ArtifactFormat::V2))
+        .expect("just-encoded artifact validates")
 }
 
 fn config() -> ServeConfig {
@@ -50,8 +54,7 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 /// visible difference is `replay.retries`/`replay.reconnects`.
 #[test]
 fn digests_survive_transports_and_a_midreplay_daemon_restart() {
-    let index = frozen();
-    let universe = Universe::from_frozen(&index);
+    let universe = Universe::from_view(&loaded());
     let trace = TraceSpec {
         preset: Preset::Steady,
         seed: 0xD16E,
@@ -60,13 +63,13 @@ fn digests_survive_transports_and_a_midreplay_daemon_restart() {
     }
     .generate(std::slice::from_ref(&universe));
 
-    let arc = Arc::new(frozen());
+    let arc = Arc::new(loaded());
     let cold = replay_engine(&trace, &Observer::disabled(), |_| arc.clone());
     assert_eq!(cold.lookups, 8_000);
 
     // Leg 1: keep-alive HTTP against a healthy daemon.
     let obs = Observer::enabled();
-    let daemon = Daemon::start_with_index(config(), frozen(), obs.clone()).expect("daemon starts");
+    let daemon = Daemon::start_with_handle(config(), loaded(), obs.clone()).expect("daemon starts");
     let cfg = ReplayConfig {
         clients: 3,
         frame: 128,
@@ -133,7 +136,8 @@ fn digests_survive_transports_and_a_midreplay_daemon_restart() {
         let mut cfg = config();
         cfg.http_listen = None;
         cfg.tcp_listen = Some(tcp_addr.to_string());
-        let daemon = Daemon::start_with_index(cfg, frozen(), obs.clone()).expect("daemon restarts");
+        let daemon =
+            Daemon::start_with_handle(cfg, loaded(), obs.clone()).expect("daemon restarts");
         restarted2.store(true, Ordering::SeqCst);
         (replayer.join().expect("replay thread"), daemon)
     });
@@ -165,8 +169,7 @@ fn digests_survive_transports_and_a_midreplay_daemon_restart() {
 /// untouched.
 #[test]
 fn stalled_connections_are_shed_without_affecting_digests() {
-    let index = frozen();
-    let universe = Universe::from_frozen(&index);
+    let universe = Universe::from_view(&loaded());
     let trace = TraceSpec {
         preset: Preset::Steady,
         seed: 0x51A1,
@@ -174,13 +177,13 @@ fn stalled_connections_are_shed_without_affecting_digests() {
         epochs: 1,
     }
     .generate(std::slice::from_ref(&universe));
-    let arc = Arc::new(frozen());
+    let arc = Arc::new(loaded());
     let cold = replay_engine(&trace, &Observer::disabled(), |_| arc.clone());
 
     let mut cfg = config();
     cfg.io_timeout = Duration::from_millis(150);
     let obs = Observer::enabled();
-    let daemon = Daemon::start_with_index(cfg, frozen(), obs.clone()).expect("daemon starts");
+    let daemon = Daemon::start_with_handle(cfg, loaded(), obs.clone()).expect("daemon starts");
 
     // Two stalled sockets, one per endpoint: a dribbled frame header
     // and a dribbled request line, then silence.

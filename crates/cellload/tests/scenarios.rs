@@ -15,11 +15,20 @@ use cellload::{
 };
 use cellobs::Observer;
 use cellseal::write_atomic_bytes;
-use cellserve::FrozenIndex;
+use cellserve::{Artifact, ArtifactFormat, ArtifactHandle};
 use cellserved::{Daemon, ServeConfig};
 
-fn frozen_for_epoch(world: &ChurnWorld, epoch: u64) -> FrozenIndex {
-    celldelta::classify_epoch(&world.epoch_counters(epoch), cellspot::DEFAULT_THRESHOLD)
+/// The sealed artifact a full build at `epoch` produces.
+fn artifact_for_epoch(world: &ChurnWorld, epoch: u64) -> Vec<u8> {
+    let counters = world.epoch_counters(epoch);
+    Artifact::encode(
+        &celldelta::classify_epoch(&counters, cellspot::DEFAULT_THRESHOLD),
+        ArtifactFormat::V2,
+    )
+}
+
+fn load(bytes: &[u8]) -> ArtifactHandle {
+    Artifact::from_bytes(bytes).expect("sealed artifact loads")
 }
 
 fn config() -> ServeConfig {
@@ -52,13 +61,11 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 #[test]
 fn single_artifact_presets_answer_identically_on_all_three_targets() {
     let world = ChurnWorld::demo(21);
-    let frozen = frozen_for_epoch(&world, 0);
-    let universe = Universe::from_frozen(&frozen);
-    let bytes = cellserve::Artifact::encode(&frozen, cellserve::ArtifactFormat::V2);
-    // The cold engine leg runs over the zero-copy v2 handle while the
-    // daemon serves a decoded index — answers must still be identical.
-    let arc = Arc::new(cellserve::Artifact::from_bytes(&bytes).expect("sealed artifact loads"));
-    assert!(arc.format() == cellserve::ArtifactFormat::V2);
+    let bytes = artifact_for_epoch(&world, 0);
+    // The cold engine leg and the daemon each load the same sealed
+    // bytes — one representation, so any divergence is the transport's.
+    let arc = Arc::new(load(&bytes));
+    let universe = Universe::from_view(&*arc);
     for preset in Preset::ALL {
         if preset == Preset::Churn {
             continue; // crosses epochs; covered by the hot-patch test
@@ -75,12 +82,8 @@ fn single_artifact_presets_answer_identically_on_all_three_targets() {
         assert_eq!(engine.lookups, 6_000, "preset {}", preset.name());
 
         let obs = Observer::enabled();
-        let daemon = Daemon::start_with_index(
-            config(),
-            cellserve::Artifact::decode(&bytes).expect("reload artifact"),
-            obs.clone(),
-        )
-        .expect("daemon starts");
+        let daemon =
+            Daemon::start_with_handle(config(), load(&bytes), obs.clone()).expect("daemon starts");
         let cfg = ReplayConfig {
             clients: 3,
             frame: 128,
@@ -130,10 +133,10 @@ fn single_artifact_presets_answer_identically_on_all_three_targets() {
 #[test]
 fn daemon_counters_are_monotone_across_replays() {
     let world = ChurnWorld::demo(33);
-    let frozen = frozen_for_epoch(&world, 0);
-    let universe = Universe::from_frozen(&frozen);
+    let handle = load(&artifact_for_epoch(&world, 0));
+    let universe = Universe::from_view(&handle);
     let obs = Observer::enabled();
-    let daemon = Daemon::start_with_index(config(), frozen, obs.clone()).expect("daemon starts");
+    let daemon = Daemon::start_with_handle(config(), handle, obs.clone()).expect("daemon starts");
     let addr = daemon.tcp_addr().expect("tcp endpoint");
     let trace = TraceSpec {
         preset: Preset::Diurnal,
@@ -176,13 +179,11 @@ fn churn_replay_across_delta_watch_hot_patch_matches_cold_engine_replay() {
     let mut arcs = Vec::new();
     let mut universes = Vec::new();
     for e in 0..EPOCHS {
-        let frozen = frozen_for_epoch(&world, e);
-        universes.push(Universe::from_frozen(&frozen));
-        artifacts.push(cellserve::Artifact::encode(
-            &frozen,
-            cellserve::ArtifactFormat::V2,
-        ));
-        arcs.push(Arc::new(frozen));
+        let bytes = artifact_for_epoch(&world, e);
+        let handle = load(&bytes);
+        universes.push(Universe::from_view(&handle));
+        artifacts.push(bytes);
+        arcs.push(Arc::new(handle));
     }
     // The labels must actually churn, or the hot-patch proves nothing.
     assert!(
@@ -211,12 +212,8 @@ fn churn_replay_across_delta_watch_hot_patch_matches_cold_engine_replay() {
     let mut cfg = config();
     cfg.delta_watch = Some(delta_path.clone());
     let obs = Observer::enabled();
-    let daemon = Daemon::start_with_index(
-        cfg,
-        cellserve::Artifact::decode(&artifacts[0]).expect("base artifact"),
-        obs.clone(),
-    )
-    .expect("daemon starts");
+    let daemon =
+        Daemon::start_with_handle(cfg, load(&artifacts[0]), obs.clone()).expect("daemon starts");
     let addr = daemon.tcp_addr().expect("tcp endpoint");
 
     let daemon_ref = &daemon;
@@ -267,9 +264,8 @@ fn churn_replay_across_delta_watch_hot_patch_matches_cold_engine_replay() {
 #[test]
 fn scan_preset_cache_accounting_stays_exact() {
     let world = ChurnWorld::demo(8);
-    let frozen = frozen_for_epoch(&world, 0);
-    let universe = Universe::from_frozen(&frozen);
-    let arc = Arc::new(frozen);
+    let arc = Arc::new(load(&artifact_for_epoch(&world, 0)));
+    let universe = Universe::from_view(&*arc);
     let trace = TraceSpec {
         preset: Preset::Scan,
         seed: 13,

@@ -1,8 +1,12 @@
-//! The sealed binary artifact format.
+//! The original (v1) sealed artifact format — a migrate-only codec.
 //!
-//! A [`FrozenIndex`] serializes to a compact, versioned byte layout,
-//! sealed with the shared [`cellseal`] envelope. All integers are
-//! little-endian.
+//! Nothing serves v1: the encoder and decoder here are reached only
+//! through [`Artifact::encode`](crate::Artifact::encode)`(.., V1)` and
+//! [`Artifact::decode`](crate::Artifact::decode), which is how
+//! `cellspot index migrate` converts files sealed before v2 (see
+//! [`crate::MappedIndex`] for the served layout). A [`FrozenIndex`]
+//! serializes to a compact, versioned byte layout, sealed with the
+//! shared [`cellseal`] envelope. All integers are little-endian.
 //!
 //! ```text
 //! body:
@@ -23,8 +27,8 @@
 //! ```
 //!
 //! [`decode_v1`] verifies the seal ([`cellseal::open`]) before touching
-//! the body, then re-validates every structural invariant the lookup
-//! path relies on — sorted keys, canonical (masked) prefixes,
+//! the body, then re-validates every structural invariant the v2
+//! encoder relies on — sorted keys, canonical (masked) prefixes,
 //! longest-first level order, in-range label indexes. Encoding is
 //! canonical, so `encode_v1(decode_v1(b)?) == b`.
 
@@ -36,7 +40,8 @@ use netaddr::Asn;
 /// Leading magic identifying a cellserve artifact.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"CELLSERV";
 
-/// Format version this build writes and reads.
+/// Version number of the v1 format (the served format is
+/// [`ARTIFACT_V2_VERSION`](crate::ARTIFACT_V2_VERSION)).
 pub const ARTIFACT_VERSION: u32 = 1;
 
 /// Trailing magic closing the seal (both CELLSERV versions).
@@ -88,7 +93,7 @@ fn encode_family<K: PrefixKey>(out: &mut Vec<u8>, fam: &FamilyIndex<K>) {
 /// [`ServeError::Corrupt`] on any integrity or structural failure,
 /// [`ServeError::UnsupportedVersion`] when the (intact) artifact was
 /// written by a different format revision (including v2 — route
-/// mixed-version loads through [`Artifact::open`](crate::Artifact::open)).
+/// mixed-version reads through [`Artifact::decode`](crate::Artifact::decode)).
 pub(crate) fn decode_v1(bytes: &[u8]) -> Result<FrozenIndex, ServeError> {
     let mut r = Reader::new(cellseal::open(bytes, TRAILER_MAGIC)?);
     if r.take(ARTIFACT_MAGIC.len())? != ARTIFACT_MAGIC {
@@ -222,6 +227,6 @@ mod tests {
         let index = FrozenIndex::builder().build();
         let back = decode_v1(&encode_v1(&index)).expect("empty artifact loads");
         assert!(back.is_empty());
-        assert_eq!(back.lookup_v4(0x0A000001), None);
+        assert_eq!(back, index);
     }
 }

@@ -30,7 +30,7 @@ use netaddr::{fmt_ipv4, fmt_ipv6, Ipv4Net, Ipv6Net};
 use rayon::prelude::*;
 
 use crate::error::ServeError;
-use crate::frozen::{FrozenIndex, PrefixKey, ServeLabel};
+use crate::frozen::{PrefixKey, ServeLabel};
 use crate::view::IndexView;
 
 /// Queries per work unit. Fixed — never derived from the thread count —
@@ -141,12 +141,10 @@ impl BatchStats {
 /// result (`None` result = cached miss).
 type CacheSlot<K> = Option<(K, Option<(u8, u32)>)>;
 
-/// High-throughput lookups over any [`IndexView`] — the owned
-/// [`FrozenIndex`] (the default, so existing `QueryEngine<'_>`
-/// annotations keep compiling), the zero-copy
-/// [`MappedIndex`](crate::MappedIndex), or an
-/// [`ArtifactHandle`](crate::ArtifactHandle).
-pub struct QueryEngine<'a, V: IndexView + ?Sized = FrozenIndex> {
+/// High-throughput lookups over any [`IndexView`] — a loaded
+/// [`ArtifactHandle`](crate::ArtifactHandle), a borrowed
+/// [`MappedIndex`](crate::MappedIndex), or either behind `Arc`/`Box`.
+pub struct QueryEngine<'a, V: IndexView + ?Sized> {
     index: &'a V,
     obs: Observer,
 }
@@ -304,10 +302,11 @@ fn cached_lookup<K: PrefixKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frozen::AsClass;
+    use crate::frozen::{AsClass, FrozenIndex};
+    use crate::handle::{served, ArtifactHandle};
     use netaddr::Asn;
 
-    fn engine_index() -> FrozenIndex {
+    fn engine_index() -> ArtifactHandle {
         let mut b = FrozenIndex::builder();
         let label = |asn: u32| ServeLabel {
             asn: Asn(asn),
@@ -317,7 +316,7 @@ mod tests {
         b.insert_v4("10.1.0.0/16".parse().expect("cidr"), label(2));
         b.insert_v4("203.0.113.0/24".parse().expect("cidr"), label(3));
         b.insert_v6("2001:db8::/48".parse().expect("cidr"), label(4));
-        b.build()
+        served(&b.build())
     }
 
     #[test]
@@ -359,29 +358,6 @@ mod tests {
         );
         assert_eq!(stats.uncached, 0, "both families serve prefixes here");
         assert!(stats.matched > 0);
-    }
-
-    #[test]
-    fn engine_over_a_mapped_view_matches_the_frozen_engine() {
-        let index = engine_index();
-        let bytes = crate::v2::encode(&index);
-        let mapped = crate::v2::MappedIndex::new(&bytes).expect("valid v2 artifact");
-        let queries: Vec<IpKey> = (0..(2 * QUERY_CHUNK as u32))
-            .map(|i| {
-                if i % 5 == 0 {
-                    IpKey::V6(0x2001_0db8_0000_0000_0000_0000_0000_0000 + i as u128)
-                } else {
-                    IpKey::V4(i.wrapping_mul(0x0101_0101))
-                }
-            })
-            .collect();
-        let (frozen_results, frozen_stats) = QueryEngine::new(&index).run(&queries);
-        let (mapped_results, mapped_stats) = QueryEngine::new(&mapped).run(&queries);
-        assert_eq!(frozen_results, mapped_results);
-        assert_eq!(
-            frozen_stats, mapped_stats,
-            "cache accounting must not depend on the representation"
-        );
     }
 
     #[test]
@@ -463,7 +439,7 @@ mod tests {
         assert!(results.is_empty());
         assert_eq!(stats, BatchStats::default());
 
-        let empty = FrozenIndex::builder().build();
+        let empty = served(&FrozenIndex::builder().build());
         let queries = [IpKey::V4(1), IpKey::V6(2)];
         let (results, stats) = QueryEngine::new(&empty).run(&queries);
         assert!(results.iter().all(|r| r.is_none()));

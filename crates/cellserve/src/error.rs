@@ -12,7 +12,8 @@ pub enum ServeError {
     /// first check that failed.
     Corrupt(String),
     /// The artifact was sealed with a format version this build cannot
-    /// read.
+    /// serve: a newer one, or CELLSERV v1, which is readable only by
+    /// `cellspot index migrate`.
     UnsupportedVersion(u32),
     /// A query address failed to parse as IPv4 or IPv6.
     BadAddress(String),
@@ -25,6 +26,11 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Corrupt(why) => write!(f, "corrupt artifact: {why}"),
+            ServeError::UnsupportedVersion(1) => write!(
+                f,
+                "unsupported artifact version 1: CELLSERV v1 files are no longer served; \
+                 convert with `cellspot index migrate --in OLD --out NEW`"
+            ),
             ServeError::UnsupportedVersion(v) => {
                 write!(f, "unsupported artifact version {v}")
             }
@@ -52,6 +58,13 @@ mod tests {
             .to_string()
             .contains("CRC mismatch"));
         assert!(ServeError::UnsupportedVersion(7).to_string().contains('7'));
+        // The one version an operator can act on says how.
+        assert!(ServeError::UnsupportedVersion(1)
+            .to_string()
+            .contains("cellspot index migrate"));
+        assert!(!ServeError::UnsupportedVersion(7)
+            .to_string()
+            .contains("migrate"));
         assert!(ServeError::BadAddress("nope".into())
             .to_string()
             .contains("nope"));

@@ -1,21 +1,23 @@
-//! The immutable lookup structure: flat sorted arrays instead of a
-//! pointer-chasing trie.
+//! The canonical entry set an artifact is sealed from.
 //!
-//! [`FrozenIndex`] holds, per address family, one *level* per distinct
-//! prefix length, ordered longest-first. A level is two parallel flat
-//! arrays: the masked prefix keys, sorted ascending, and the index of
-//! each prefix's label in the shared label table. Longest-prefix match
-//! walks the levels longest-first, masks the queried address to the
-//! level's length, and runs a branch-free binary search over the key
-//! array; the first level that contains the masked key wins — exactly
-//! the semantics of [`netaddr::PrefixTrie`], which the equivalence
-//! property suite in `tests/frozen_props.rs` pins down.
+//! [`FrozenIndex`] is the *builder-side* form of a serving index: per
+//! address family, one *level* per distinct prefix length, ordered
+//! longest-first; a level is two parallel flat arrays — the masked
+//! prefix keys, sorted strictly ascending, and the index of each
+//! prefix's label in the shared, deduplicated label table. That is
+//! exactly the order both CELLSERV encoders write, so
+//! [`Artifact::encode`](crate::Artifact::encode) serializes it without
+//! transformation and the same entries always seal to the same bytes.
 //!
-//! The layout is cache-friendly where the trie is not: a lookup touches
-//! at most `levels × log2(keys)` contiguous array slots, with no child
-//! pointers to chase and no allocation, and the whole structure
-//! serializes to the sealed artifact format of [`crate::to_bytes`]
-//! without transformation.
+//! It does not answer lookups. Serving runs over the sealed v2 bytes
+//! ([`MappedIndex`](crate::MappedIndex) / [`ArtifactHandle`](crate::ArtifactHandle)),
+//! whose longest-prefix match is pinned against [`netaddr::PrefixTrie`]
+//! in `tests/lpm_oracle.rs`; a `FrozenIndex` exists between
+//! [`FrozenIndexBuilder::build`] (or [`FrozenIndex::from_classification`])
+//! and the encoder, and when `index migrate` decodes an old file.
+//!
+//! This module also owns the label and key-codec types every sealed
+//! format shares ([`ServeLabel`], [`AsClass`], [`PrefixCodec`]).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -212,54 +214,17 @@ pub(crate) struct FamilyIndex<K> {
     pub(crate) levels: Vec<Level<K>>,
 }
 
-/// Branch-free binary search for an exact key. The classic branchless
-/// lower-bound loop: `base` advances via a conditional move, never a
-/// data-dependent branch, so the pipeline never mispredicts on the
-/// random probe sequence a lookup workload produces.
-#[inline]
-fn branchless_eq_search<K: Copy + Ord>(keys: &[K], target: K) -> Option<usize> {
-    if keys.is_empty() {
-        return None;
-    }
-    let mut base = 0usize;
-    let mut size = keys.len();
-    while size > 1 {
-        let half = size / 2;
-        let probe = base + half;
-        base = if keys[probe] <= target { probe } else { base };
-        size -= half;
-    }
-    (keys[base] == target).then_some(base)
-}
-
 impl<K: PrefixKey> FamilyIndex<K> {
-    /// Longest-prefix match: `(masked key, prefix length, label index)`
-    /// of the most specific covering prefix.
-    pub(crate) fn lookup(&self, addr: K) -> Option<(K, u8, u32)> {
-        for level in &self.levels {
-            let masked = addr.and(K::mask(level.len));
-            if let Some(i) = branchless_eq_search(&level.keys, masked) {
-                return Some((masked, level.len, level.labels[i]));
-            }
-        }
-        None
-    }
-
-    /// The longest prefix length present, i.e. the first level's — the
-    /// mask the batch engine's hot cache keys on.
-    pub(crate) fn longest_len(&self) -> Option<u8> {
-        self.levels.first().map(|l| l.len)
-    }
-
     pub(crate) fn prefix_count(&self) -> usize {
         self.levels.iter().map(|l| l.keys.len()).sum()
     }
 }
 
-/// The immutable serving index: label table plus per-family flat-array
-/// levels. Built with [`FrozenIndexBuilder`] or decoded from a sealed
-/// artifact with [`Artifact::decode`](crate::Artifact::decode); never
-/// mutated after either.
+/// The canonical entry set of one artifact: label table plus per-family
+/// flat-array levels. Built with [`FrozenIndexBuilder`] or decoded from
+/// a sealed artifact with [`Artifact::decode`](crate::Artifact::decode);
+/// never mutated after either, and consumed by
+/// [`Artifact::encode`](crate::Artifact::encode).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrozenIndex {
     pub(crate) labels: Vec<ServeLabel>,
@@ -300,21 +265,6 @@ impl FrozenIndex {
             }
         }
         builder.build()
-    }
-
-    /// Longest-prefix match for an IPv4 address: the most specific
-    /// served prefix covering it, with its label.
-    pub fn lookup_v4(&self, addr: u32) -> Option<(Ipv4Net, ServeLabel)> {
-        let (key, len, idx) = self.v4.lookup(addr)?;
-        let net = Ipv4Net::new(key, len).expect("level length ≤ 32 by construction");
-        Some((net, self.labels[idx as usize]))
-    }
-
-    /// Longest-prefix match for an IPv6 address.
-    pub fn lookup_v6(&self, addr: u128) -> Option<(Ipv6Net, ServeLabel)> {
-        let (key, len, idx) = self.v6.lookup(addr)?;
-        let net = Ipv6Net::new(key, len).expect("level length ≤ 128 by construction");
-        Some((net, self.labels[idx as usize]))
     }
 
     /// Total served prefixes across both families.
@@ -383,48 +333,6 @@ impl FrozenIndex {
                     (net, self.labels[idx as usize])
                 })
         })
-    }
-}
-
-impl crate::view::IndexView for FrozenIndex {
-    fn lpm_v4(&self, addr: u32) -> Option<(u8, u32)> {
-        self.v4.lookup(addr).map(|(_, len, idx)| (len, idx))
-    }
-
-    fn lpm_v6(&self, addr: u128) -> Option<(u8, u32)> {
-        self.v6.lookup(addr).map(|(_, len, idx)| (len, idx))
-    }
-
-    fn label_at(&self, idx: u32) -> ServeLabel {
-        self.labels[idx as usize]
-    }
-
-    fn longest_len_v4(&self) -> Option<u8> {
-        self.v4.longest_len()
-    }
-
-    fn longest_len_v6(&self) -> Option<u8> {
-        self.v6.longest_len()
-    }
-
-    fn prefix_counts(&self) -> (usize, usize) {
-        FrozenIndex::prefix_counts(self)
-    }
-
-    fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
-    fn for_each_v4(&self, f: &mut dyn FnMut(Ipv4Net, ServeLabel)) {
-        for (net, label) in self.entries_v4() {
-            f(net, label);
-        }
-    }
-
-    fn for_each_v6(&self, f: &mut dyn FnMut(Ipv6Net, ServeLabel)) {
-        for (net, label) in self.entries_v6() {
-            f(net, label);
-        }
     }
 }
 
@@ -509,6 +417,8 @@ fn family_from_map<K: PrefixKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::served;
+    use crate::view::IndexView;
 
     fn label(asn: u32, class: AsClass) -> ServeLabel {
         ServeLabel {
@@ -526,26 +436,12 @@ mod tests {
     }
 
     #[test]
-    fn branchless_search_finds_exact_keys_only() {
-        let keys = [2u32, 5, 9, 14, 20];
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(branchless_eq_search(&keys, k), Some(i));
-        }
-        for miss in [0u32, 3, 10, 21] {
-            assert_eq!(branchless_eq_search(&keys, miss), None);
-        }
-        assert_eq!(branchless_eq_search::<u32>(&[], 7), None);
-        assert_eq!(branchless_eq_search(&[7u32], 7), Some(0));
-        assert_eq!(branchless_eq_search(&[7u32], 8), None);
-    }
-
-    #[test]
     fn longest_prefix_wins() {
         let mut b = FrozenIndex::builder();
         b.insert_v4(v4("10.0.0.0/8"), label(1, AsClass::Mixed));
         b.insert_v4(v4("10.1.0.0/16"), label(2, AsClass::Dedicated));
         b.insert_v4(v4("10.1.2.0/24"), label(3, AsClass::Unknown));
-        let idx = b.build();
+        let idx = served(&b.build());
         // 10.1.2.3 → the /24.
         let (net, l) = idx.lookup_v4(0x0A010203).expect("covered");
         assert_eq!(net, v4("10.1.2.0/24"));
@@ -567,7 +463,7 @@ mod tests {
         let mut b = FrozenIndex::builder();
         b.insert_v4(v4("10.0.0.0/8"), label(1, AsClass::Unknown));
         b.insert_v4(v4("10.0.0.0/8"), label(9, AsClass::Dedicated));
-        let idx = b.build();
+        let idx = served(&b.build());
         assert_eq!(idx.len(), 1);
         let (_, l) = idx.lookup_v4(0x0A000000).expect("covered");
         assert_eq!(l, label(9, AsClass::Dedicated));
@@ -581,7 +477,7 @@ mod tests {
             label(1, AsClass::Unknown),
         );
         b.insert_v4(v4("203.0.113.0/24"), label(2, AsClass::Mixed));
-        let idx = b.build();
+        let idx = served(&b.build());
         assert_eq!(
             idx.lookup_v4(0xCB007105).expect("covered").0,
             v4("203.0.113.0/24")
@@ -596,7 +492,7 @@ mod tests {
     fn v6_lookups_work_and_families_are_disjoint() {
         let mut b = FrozenIndex::builder();
         b.insert_v6(v6("2001:db8::/48"), label(5, AsClass::Dedicated));
-        let idx = b.build();
+        let idx = served(&b.build());
         let addr = 0x2001_0db8_0000_0000_0000_0000_0000_0001u128;
         let (net, l) = idx.lookup_v6(addr).expect("covered");
         assert_eq!(net, v6("2001:db8::/48"));
@@ -725,7 +621,7 @@ mod tests {
         let class = Classification::with_default_threshold(&index);
         assert_eq!(class.len(), 1, "only block 1 is cellular");
 
-        let frozen = FrozenIndex::from_classification(&class, None);
+        let frozen = served(&FrozenIndex::from_classification(&class, None));
         assert_eq!(frozen.prefix_counts(), (1, 0));
         let addr = Block24::from_index(1).addr(5);
         let (net, l) = frozen.lookup_v4(addr).expect("cellular block served");

@@ -1,40 +1,43 @@
-//! The unified artifact entry point: open a sealed file of either
-//! format and get back something that serves lookups.
+//! The artifact entry point: open a sealed CELLSERV file and get back
+//! something that serves lookups.
 //!
-//! [`Artifact::open`] sniffs the version, seal-checks, and returns an
-//! [`ArtifactHandle`]: v2 files are `mmap`ed (Unix) or read once into
-//! an 8-byte-aligned buffer and validated *in place* — cold start
-//! copies nothing but a per-level offset table — while v1 files decode
-//! into the owned [`FrozenIndex`] as before. The handle owns its bytes
-//! and implements [`IndexView`](crate::IndexView), so the
-//! [`QueryEngine`](crate::QueryEngine), the serving daemon, and the
-//! delta path run identically over either representation.
+//! [`Artifact::open`] seal-checks and validates a v2 file *in place*
+//! and returns an [`ArtifactHandle`] — the owning form of the one
+//! serving representation, [`MappedIndex`] over [`ArtifactBytes`]: the
+//! file is `mmap`ed (Unix) or read once into an 8-byte-aligned buffer,
+//! and cold start copies nothing but a per-level offset table. The
+//! [`QueryEngine`](crate::QueryEngine), the serving daemon and the
+//! delta path all run over that handle.
+//!
+//! CELLSERV v1 is no longer served: `open`/`from_bytes` refuse it with
+//! [`ServeError::UnsupportedVersion`]`(1)`, whose message names
+//! `cellspot index migrate`. The v1 codec survives only behind
+//! [`Artifact::decode`] / [`Artifact::encode`], which is what `migrate`
+//! calls to convert files sealed before v2.
 //!
 //! The handle also reports *how it booted* — [`ArtifactHandle::copied_bytes`]
 //! is the measured cold-start copy cost that `bench_lookup` records as
 //! `cold_start.bytes_copied` — and keeps the sealed bytes reachable
-//! ([`ArtifactHandle::sealed_bytes`]) because CELLDELT deltas chain on
+//! ([`MappedIndex::sealed_bytes`]) because CELLDELT deltas chain on
 //! their content hash.
 
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 
-use netaddr::{Ipv4Net, Ipv6Net};
-
 use crate::artifact::{decode_v1, encode_v1, ARTIFACT_MAGIC, ARTIFACT_VERSION};
 use crate::error::ServeError;
-use crate::frozen::{FrozenIndex, ServeLabel};
+use crate::frozen::FrozenIndex;
 use crate::hash::content_hash;
-use crate::v2::{self, V2Layout, ARTIFACT_V2_VERSION};
-use crate::view::IndexView;
+use crate::v2::{self, MappedIndex, ARTIFACT_V2_VERSION};
 
 /// Which sealed encoding an artifact uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArtifactFormat {
-    /// The original interleaved encoding, decoded into owned `Vec`s.
+    /// The original interleaved encoding. Migrate-only: it can be
+    /// decoded and re-encoded, never served.
     V1,
-    /// The 8-byte-aligned flat-array body served zero-copy (default).
+    /// The 8-byte-aligned flat-array body served zero-copy.
     V2,
 }
 
@@ -51,7 +54,7 @@ impl ArtifactFormat {
     /// The version number sealed into the header.
     pub fn version(self) -> u32 {
         match self {
-            ArtifactFormat::V1 => crate::artifact::ARTIFACT_VERSION,
+            ArtifactFormat::V1 => ARTIFACT_VERSION,
             ArtifactFormat::V2 => ARTIFACT_V2_VERSION,
         }
     }
@@ -70,89 +73,38 @@ impl std::fmt::Display for ArtifactFormat {
 pub struct Artifact;
 
 impl Artifact {
-    /// Open a sealed artifact file of either format.
-    ///
-    /// v2 files are `mmap`ed read-only where the platform allows
-    /// (falling back to one read into an aligned buffer) and validated
-    /// in place; v1 files are read and decoded. Either way the
-    /// returned handle has passed the full seal + structural checks.
+    /// Open a sealed v2 artifact file: `mmap`ed read-only where the
+    /// platform allows (falling back to one read into an aligned
+    /// buffer) and validated in place. The returned handle has passed
+    /// the full seal + structural checks.
     ///
     /// # Errors
     /// [`ServeError::Io`] when the file cannot be read,
     /// [`ServeError::Corrupt`] / [`ServeError::UnsupportedVersion`] on
-    /// validation failure.
+    /// validation failure — a v1 file is `UnsupportedVersion(1)`.
     pub fn open(path: &Path) -> Result<ArtifactHandle, ServeError> {
         let io = |e: std::io::Error| ServeError::Io(format!("{}: {e}", path.display()));
-        match Self::sniff_file(path).map_err(io)? {
-            ARTIFACT_V2_VERSION => {
-                #[cfg(unix)]
-                {
-                    let file = File::open(path).map_err(io)?;
-                    let len = file.metadata().map_err(io)?.len() as usize;
-                    if let Ok(map) = mm::Mmap::map(&file, len) {
-                        let layout = v2::parse(map.as_slice())?;
-                        let copied = (v2::HEADER_LEN + 32 * layout.level_count()) as u64;
-                        let hash = content_hash(map.as_slice());
-                        return Ok(ArtifactHandle {
-                            repr: Repr::V2 {
-                                buf: V2Buf::Mapped(map),
-                                layout,
-                            },
-                            source_len: len as u64,
-                            content_hash: hash,
-                            copied_bytes: copied,
-                            mapped: true,
-                        });
-                    }
-                }
-                let bytes = std::fs::read(path).map_err(io)?;
-                Self::from_bytes(&bytes)
-            }
-            _ => {
-                // v1 — and anything unrecognized, so the validators
-                // produce their precise error.
-                let bytes = std::fs::read(path).map_err(io)?;
-                Self::from_bytes(&bytes)
+        #[cfg(unix)]
+        {
+            let file = File::open(path).map_err(io)?;
+            let len = file.metadata().map_err(io)?.len() as usize;
+            if let Ok(map) = mm::Mmap::map(&file, len) {
+                return MappedIndex::new(ArtifactBytes::new(Buf::Mapped(map)));
             }
         }
+        Self::from_bytes(&std::fs::read(path).map_err(io)?)
     }
 
-    /// Validate artifact bytes of either format into an owning handle
-    /// (v2 bytes are copied once into an aligned buffer).
+    /// Validate v2 artifact bytes into an owning handle (the bytes are
+    /// copied once into an aligned buffer).
     ///
     /// # Errors
-    /// [`ServeError::Corrupt`] or [`ServeError::UnsupportedVersion`].
+    /// [`ServeError::Corrupt`] or [`ServeError::UnsupportedVersion`]
+    /// (v1 bytes included).
     pub fn from_bytes(bytes: &[u8]) -> Result<ArtifactHandle, ServeError> {
-        match Self::sniff_version(bytes) {
-            Some(ARTIFACT_V2_VERSION) => {
-                let buf = AlignedBytes::from_slice(bytes);
-                let layout = v2::parse(buf.as_slice())?;
-                Ok(ArtifactHandle {
-                    repr: Repr::V2 {
-                        buf: V2Buf::Owned(buf),
-                        layout,
-                    },
-                    source_len: bytes.len() as u64,
-                    content_hash: content_hash(bytes),
-                    copied_bytes: bytes.len() as u64,
-                    mapped: false,
-                })
-            }
-            _ => {
-                let index = decode_v1(bytes)?;
-                let copied = bytes.len() as u64 + decoded_heap_bytes(&index);
-                Ok(ArtifactHandle {
-                    repr: Repr::V1 {
-                        index,
-                        bytes: bytes.to_vec(),
-                    },
-                    source_len: bytes.len() as u64,
-                    content_hash: content_hash(bytes),
-                    copied_bytes: copied,
-                    mapped: false,
-                })
-            }
-        }
+        MappedIndex::new(ArtifactBytes::new(Buf::Owned(AlignedBytes::from_slice(
+            bytes,
+        ))))
     }
 
     /// Serialize an index into the requested sealed format.
@@ -163,14 +115,15 @@ impl Artifact {
         }
     }
 
-    /// Decode sealed bytes of either format into the owned
-    /// [`FrozenIndex`] form (the build, migrate, and delta paths).
+    /// Decode sealed bytes of either format back into the builder-side
+    /// [`FrozenIndex`] — the `index migrate` path, and the only reader
+    /// of v1 files.
     ///
     /// # Errors
     /// [`ServeError::Corrupt`] or [`ServeError::UnsupportedVersion`].
     pub fn decode(bytes: &[u8]) -> Result<FrozenIndex, ServeError> {
         match Self::sniff_version(bytes) {
-            Some(ARTIFACT_V2_VERSION) => Ok(v2::parse(bytes)?.to_frozen(bytes)),
+            Some(ARTIFACT_V2_VERSION) => Ok(MappedIndex::new(bytes)?.to_frozen()),
             _ => decode_v1(bytes),
         }
     }
@@ -187,7 +140,7 @@ impl Artifact {
     }
 
     /// The sealed format claimed by the (unvalidated) header, when the
-    /// magic matches and the version is one this build can serve.
+    /// magic matches and the version is one this build can decode.
     pub fn sniff_format(bytes: &[u8]) -> Option<ArtifactFormat> {
         match Self::sniff_version(bytes) {
             Some(ARTIFACT_VERSION) => Some(ArtifactFormat::V1),
@@ -209,10 +162,7 @@ impl Artifact {
         let mut file = File::open(path).map_err(io)?;
         let mut header = [0u8; v2::HEADER_LEN];
         let got = read_fully(&mut file, &mut header).map_err(io)?;
-        if got >= 24
-            && header[..8] == ARTIFACT_MAGIC
-            && u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) == ARTIFACT_V2_VERSION
-        {
+        if got >= 24 && Self::sniff_version(&header) == Some(ARTIFACT_V2_VERSION) {
             return Ok(u64::from_le_bytes(
                 header[16..24].try_into().expect("8 bytes"),
             ));
@@ -222,17 +172,6 @@ impl Artifact {
         let mut all = header[..got].to_vec();
         all.extend_from_slice(&rest);
         Ok(content_hash(&all))
-    }
-
-    fn sniff_file(path: &Path) -> std::io::Result<u32> {
-        let mut file = File::open(path)?;
-        let mut head = [0u8; 12];
-        let got = read_fully(&mut file, &mut head)?;
-        if got == 12 && head[..8] == ARTIFACT_MAGIC {
-            Ok(u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")))
-        } else {
-            Ok(0)
-        }
     }
 }
 
@@ -248,217 +187,90 @@ fn read_fully(file: &mut File, buf: &mut [u8]) -> std::io::Result<usize> {
     Ok(got)
 }
 
-/// Heap bytes a decoded [`FrozenIndex`] holds — the copy cost a v1
-/// load pays on top of reading the file.
-fn decoded_heap_bytes(index: &FrozenIndex) -> u64 {
-    let (v4, v6) = index.prefix_counts();
-    index.label_count() as u64 * std::mem::size_of::<ServeLabel>() as u64
-        + v4 as u64 * (4 + 4)
-        + v6 as u64 * (16 + 4)
-}
+/// A loaded, validated artifact that owns its bytes: the one serving
+/// representation ([`MappedIndex`]) over an mmap or an aligned buffer.
+/// Lookups go through [`IndexView`](crate::IndexView).
+pub type ArtifactHandle = MappedIndex<ArtifactBytes>;
 
-/// A loaded, validated artifact: the owning counterpart of the
-/// borrowed views. Serves lookups through [`IndexView`] (and inherent
-/// mirrors of the common methods, so `Arc<ArtifactHandle>` call sites
-/// need no trait import).
-pub struct ArtifactHandle {
-    repr: Repr,
-    source_len: u64,
+/// The byte owner behind an [`ArtifactHandle`]: the sealed file as an
+/// `mmap` or as one aligned read, plus the content hash delta chains
+/// name it by (hashed once, at load).
+pub struct ArtifactBytes {
+    buf: Buf,
     content_hash: u64,
-    copied_bytes: u64,
-    mapped: bool,
 }
 
-impl std::fmt::Debug for ArtifactHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArtifactHandle")
-            .field("format", &self.format())
-            .field("source_len", &self.source_len)
-            .field("copied_bytes", &self.copied_bytes)
-            .field("mapped", &self.mapped)
-            .finish_non_exhaustive()
-    }
-}
-
-enum Repr {
-    V1 { index: FrozenIndex, bytes: Vec<u8> },
-    V2 { buf: V2Buf, layout: V2Layout },
-}
-
-enum V2Buf {
+enum Buf {
     Owned(AlignedBytes),
     #[cfg(unix)]
     Mapped(mm::Mmap),
 }
 
-impl V2Buf {
+impl Buf {
+    // `MappedIndex<B>`'s lookup methods are generic over the byte
+    // owner, hence instantiated in the calling crate; the accessors
+    // under them are `#[inline]` so a probe still costs no call.
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         match self {
-            V2Buf::Owned(b) => b.as_slice(),
+            Buf::Owned(b) => b.as_slice(),
             #[cfg(unix)]
-            V2Buf::Mapped(m) => m.as_slice(),
+            Buf::Mapped(m) => m.as_slice(),
         }
+    }
+}
+
+impl ArtifactBytes {
+    fn new(buf: Buf) -> ArtifactBytes {
+        ArtifactBytes {
+            content_hash: content_hash(buf.as_slice()),
+            buf,
+        }
+    }
+}
+
+impl AsRef<[u8]> for ArtifactBytes {
+    #[inline]
+    fn as_ref(&self) -> &[u8] {
+        self.buf.as_slice()
     }
 }
 
 impl ArtifactHandle {
-    /// Which format the handle was loaded from.
-    pub fn format(&self) -> ArtifactFormat {
-        match &self.repr {
-            Repr::V1 { .. } => ArtifactFormat::V1,
-            Repr::V2 { .. } => ArtifactFormat::V2,
-        }
-    }
-
-    /// The sealed bytes exactly as loaded — what delta chains hash.
-    pub fn sealed_bytes(&self) -> &[u8] {
-        match &self.repr {
-            Repr::V1 { bytes, .. } => bytes,
-            Repr::V2 { buf, .. } => buf.as_slice(),
-        }
-    }
-
-    /// FNV-1a content hash of [`ArtifactHandle::sealed_bytes`].
+    /// FNV-1a content hash of [`MappedIndex::sealed_bytes`].
     pub fn content_hash(&self) -> u64 {
-        self.content_hash
+        self.owner().content_hash
     }
 
     /// Sealed file size in bytes.
     pub fn source_len(&self) -> u64 {
-        self.source_len
+        self.sealed_bytes().len() as u64
     }
 
-    /// Bytes materialized in memory to boot this handle: a v1 load
-    /// pays the file read plus the decoded structure; a v2 mmap pays
-    /// only the header and per-level offset table.
+    /// Bytes materialized in memory to boot this handle: an mmap pays
+    /// only the header and per-level offset table, the aligned-buffer
+    /// fallback one copy of the file.
     pub fn copied_bytes(&self) -> u64 {
-        self.copied_bytes
+        if self.is_mapped() {
+            self.directory_bytes() as u64
+        } else {
+            self.source_len()
+        }
     }
 
     /// True when the handle serves straight out of an `mmap`.
     pub fn is_mapped(&self) -> bool {
-        self.mapped
-    }
-
-    /// Decode into the owned [`FrozenIndex`] form (v1: clone; v2:
-    /// in-order decode) — the delta-apply and migrate paths.
-    pub fn to_frozen(&self) -> FrozenIndex {
-        match &self.repr {
-            Repr::V1 { index, .. } => index.clone(),
-            Repr::V2 { buf, layout } => layout.to_frozen(buf.as_slice()),
-        }
-    }
-
-    /// Inherent mirror of [`IndexView::lookup_v4`].
-    pub fn lookup_v4(&self, addr: u32) -> Option<(Ipv4Net, ServeLabel)> {
-        IndexView::lookup_v4(self, addr)
-    }
-
-    /// Inherent mirror of [`IndexView::lookup_v6`].
-    pub fn lookup_v6(&self, addr: u128) -> Option<(Ipv6Net, ServeLabel)> {
-        IndexView::lookup_v6(self, addr)
-    }
-
-    /// Inherent mirror of [`IndexView::prefix_counts`].
-    pub fn prefix_counts(&self) -> (usize, usize) {
-        IndexView::prefix_counts(self)
-    }
-
-    /// Inherent mirror of [`IndexView::len`].
-    pub fn len(&self) -> usize {
-        IndexView::len(self)
-    }
-
-    /// Inherent mirror of [`IndexView::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        IndexView::is_empty(self)
-    }
-
-    /// Inherent mirror of [`IndexView::label_count`].
-    pub fn label_count(&self) -> usize {
-        IndexView::label_count(self)
-    }
-
-    /// Inherent mirror of [`IndexView::as_count`].
-    pub fn as_count(&self) -> usize {
-        IndexView::as_count(self)
+        !matches!(self.owner().buf, Buf::Owned(_))
     }
 }
 
-impl IndexView for ArtifactHandle {
-    fn lpm_v4(&self, addr: u32) -> Option<(u8, u32)> {
-        match &self.repr {
-            Repr::V1 { index, .. } => index.lpm_v4(addr),
-            Repr::V2 { buf, layout } => layout.lpm_v4(buf.as_slice(), addr),
-        }
-    }
-
-    fn lpm_v6(&self, addr: u128) -> Option<(u8, u32)> {
-        match &self.repr {
-            Repr::V1 { index, .. } => index.lpm_v6(addr),
-            Repr::V2 { buf, layout } => layout.lpm_v6(buf.as_slice(), addr),
-        }
-    }
-
-    fn label_at(&self, idx: u32) -> ServeLabel {
-        match &self.repr {
-            Repr::V1 { index, .. } => index.label_at(idx),
-            Repr::V2 { buf, layout } => layout.label_at(buf.as_slice(), idx),
-        }
-    }
-
-    fn longest_len_v4(&self) -> Option<u8> {
-        match &self.repr {
-            Repr::V1 { index, .. } => index.longest_len_v4(),
-            Repr::V2 { layout, .. } => layout.longest_len_v4(),
-        }
-    }
-
-    fn longest_len_v6(&self) -> Option<u8> {
-        match &self.repr {
-            Repr::V1 { index, .. } => index.longest_len_v6(),
-            Repr::V2 { layout, .. } => layout.longest_len_v6(),
-        }
-    }
-
-    fn prefix_counts(&self) -> (usize, usize) {
-        match &self.repr {
-            Repr::V1 { index, .. } => IndexView::prefix_counts(index),
-            Repr::V2 { layout, .. } => layout.prefix_counts(),
-        }
-    }
-
-    fn label_count(&self) -> usize {
-        match &self.repr {
-            Repr::V1 { index, .. } => IndexView::label_count(index),
-            Repr::V2 { layout, .. } => layout.label_count(),
-        }
-    }
-
-    fn for_each_v4(&self, f: &mut dyn FnMut(Ipv4Net, ServeLabel)) {
-        match &self.repr {
-            Repr::V1 { index, .. } => index.for_each_v4(f),
-            Repr::V2 { buf, layout } => layout.for_each_v4(buf.as_slice(), f),
-        }
-    }
-
-    fn for_each_v6(&self, f: &mut dyn FnMut(Ipv6Net, ServeLabel)) {
-        match &self.repr {
-            Repr::V1 { index, .. } => index.for_each_v6(f),
-            Repr::V2 { buf, layout } => layout.for_each_v6(buf.as_slice(), f),
-        }
-    }
-
-    fn prefetch_v4(&self, addr: u32) {
-        if let Repr::V2 { buf, layout } = &self.repr {
-            layout.prefetch_v4(buf.as_slice(), addr);
-        }
-    }
-
-    fn prefetch_v6(&self, addr: u128) {
-        if let Repr::V2 { buf, layout } = &self.repr {
-            layout.prefetch_v6(buf.as_slice(), addr);
-        }
+impl std::fmt::Debug for ArtifactHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ArtifactHandle")
+            .field("source_len", &self.source_len())
+            .field("copied_bytes", &self.copied_bytes())
+            .field("mapped", &self.is_mapped())
+            .finish_non_exhaustive()
     }
 }
 
@@ -483,6 +295,7 @@ impl AlignedBytes {
         }
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         // SAFETY: the words buffer holds ≥ `len` initialized bytes and
         // u64 → u8 loosens alignment; `from_ne_bytes` above preserved
@@ -551,6 +364,7 @@ mod mm {
             })
         }
 
+        #[inline]
         pub(super) fn as_slice(&self) -> &[u8] {
             // SAFETY: the mapping covers `len` readable bytes for the
             // life of `self`.
@@ -568,10 +382,19 @@ mod mm {
     }
 }
 
+/// Seal and load: lookups live on the v2 view, so the crate's unit
+/// tests observe what a builder froze through it.
+#[cfg(test)]
+pub(crate) fn served(index: &FrozenIndex) -> ArtifactHandle {
+    Artifact::from_bytes(&Artifact::encode(index, ArtifactFormat::V2))
+        .expect("a built index seals to a valid artifact")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frozen::AsClass;
+    use crate::frozen::{AsClass, ServeLabel};
+    use crate::view::IndexView;
     use netaddr::Asn;
 
     fn sample_index() -> FrozenIndex {
@@ -602,23 +425,28 @@ mod tests {
     }
 
     #[test]
-    fn open_sniffs_both_formats_and_answers_identically() {
+    fn open_and_from_bytes_serve_the_sealed_v2_bytes() {
         let index = sample_index();
-        for format in [ArtifactFormat::V1, ArtifactFormat::V2] {
-            let bytes = Artifact::encode(&index, format);
-            let path = tmpfile(&format!("open-{format}.cellserv"), &bytes);
-            let handle = Artifact::open(&path).expect("open");
-            assert_eq!(handle.format(), format);
+        let bytes = Artifact::encode(&index, ArtifactFormat::V2);
+        let path = tmpfile("open.cellserv", &bytes);
+        let opened = Artifact::open(&path).expect("open");
+        let loaded = Artifact::from_bytes(&bytes).expect("load");
+        for handle in [&opened, &loaded] {
             assert_eq!(handle.sealed_bytes(), &bytes[..]);
             assert_eq!(handle.content_hash(), content_hash(&bytes));
             assert_eq!(handle.source_len(), bytes.len() as u64);
-            assert_eq!(handle.lookup_v4(0x0A000001), index.lookup_v4(0x0A000001));
+            let (net, label) = handle.lookup_v4(0x0A000001).expect("10.0.0.1 is served");
+            assert_eq!(
+                (net.to_string().as_str(), label.asn),
+                ("10.0.0.0/8", Asn(1))
+            );
             assert_eq!(handle.lookup_v4(0x0B000001), None);
             let v6 = 0x2001_0db8_0000_0000_0000_0000_0000_0001u128;
-            assert_eq!(handle.lookup_v6(v6), index.lookup_v6(v6));
+            assert_eq!(handle.lookup_v6(v6).expect("served").1.asn, Asn(2));
             assert_eq!(handle.prefix_counts(), index.prefix_counts());
-            assert_eq!(handle.to_frozen(), index);
         }
+        assert!(!loaded.is_mapped());
+        assert_eq!(loaded.copied_bytes(), bytes.len() as u64);
     }
 
     #[test]
@@ -635,16 +463,19 @@ mod tests {
                 bytes.len()
             );
         }
-        assert_eq!(handle.format(), ArtifactFormat::V2);
     }
 
     #[test]
-    fn v1_load_pays_the_decode_copy() {
+    fn v1_files_are_refused_with_the_migrate_hint() {
         let bytes = Artifact::encode(&sample_index(), ArtifactFormat::V1);
-        let handle = Artifact::from_bytes(&bytes).expect("load");
-        assert!(!handle.is_mapped());
-        assert!(handle.copied_bytes() > bytes.len() as u64);
-        assert_eq!(handle.format(), ArtifactFormat::V1);
+        let path = tmpfile("legacy-v1.cellserv", &bytes);
+        for err in [
+            Artifact::from_bytes(&bytes).expect_err("v1 bytes"),
+            Artifact::open(&path).expect_err("v1 file"),
+        ] {
+            assert_eq!(err, ServeError::UnsupportedVersion(1));
+            assert!(err.to_string().contains("cellspot index migrate"), "{err}");
+        }
     }
 
     #[test]
@@ -665,10 +496,11 @@ mod tests {
         let v2 = Artifact::encode(&index, ArtifactFormat::V2);
         let path = tmpfile("fp.cellserv", &v2);
         let fp = Artifact::quick_fingerprint(&path).expect("fingerprint");
-        let mapped = crate::MappedIndex::new(&v2).expect("v2 view");
+        let mapped = MappedIndex::new(&v2).expect("v2 view");
         assert_eq!(fp, mapped.quick_hash());
 
-        // v1 files fall back to a full-content hash.
+        // Anything that is not v2 falls back to a full-content hash, so
+        // a v1 file dropped in the watch path still reads as a change.
         let v1 = Artifact::encode(&index, ArtifactFormat::V1);
         let p1 = tmpfile("fp-v1.cellserv", &v1);
         assert_eq!(
@@ -698,15 +530,10 @@ mod tests {
 
     #[test]
     fn corrupt_files_are_rejected_through_open() {
-        for format in [ArtifactFormat::V1, ArtifactFormat::V2] {
-            let mut bytes = Artifact::encode(&sample_index(), format);
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x01;
-            let path = tmpfile(&format!("bad-{format}.cellserv"), &bytes);
-            assert!(
-                Artifact::open(&path).is_err(),
-                "{format} corruption accepted"
-            );
-        }
+        let mut bytes = Artifact::encode(&sample_index(), ArtifactFormat::V2);
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        let path = tmpfile("bad.cellserv", &bytes);
+        assert!(matches!(Artifact::open(&path), Err(ServeError::Corrupt(_))));
     }
 }

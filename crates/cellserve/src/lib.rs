@@ -10,32 +10,34 @@
 //! * **Sealed artifact** — [`Artifact::encode`]/[`Artifact::open`]
 //!   snapshot a classification into a compact, versioned binary format
 //!   sealed with the shared [`cellseal`] envelope; any single-byte
-//!   corruption is rejected at load, never served. Two formats
-//!   coexist: the original interleaved **v1**, and the 8-byte-aligned
-//!   flat-array **v2** (default) whose body validates *in place*, so a
-//!   v2 file is `mmap`ed and served with near-zero cold-start copies.
-//! * **[`IndexView`]** — the borrowed read API every consumer programs
-//!   against. The owned [`FrozenIndex`] (decoded v1, still what the
-//!   build and delta paths manipulate), the zero-copy [`MappedIndex`]
-//!   over v2 bytes, and the owning [`ArtifactHandle`] all implement
-//!   it, provably answer-identical (pinned by the equivalence property
-//!   suites in `tests/frozen_props.rs` and `tests/format_props.rs`)
-//!   and the same answers as [`netaddr::PrefixTrie`].
+//!   corruption is rejected at load, never served. The served format
+//!   is the 8-byte-aligned flat-array **v2**, whose body validates *in
+//!   place*, so a file is `mmap`ed and served with near-zero cold-start
+//!   copies. The original interleaved **v1** is a migrate-only codec
+//!   ([`Artifact::decode`] → [`Artifact::encode`]); loading a v1 file
+//!   is refused with a pointer to `cellspot index migrate`.
+//! * **One representation** — validated v2 bytes ([`MappedIndex`] over
+//!   borrowed bytes, [`ArtifactHandle`] over an mmap or aligned buffer)
+//!   are the only thing that answers lookups and the only thing a
+//!   CELLDELT delta patches. [`IndexView`] is the borrowed read API
+//!   consumers are generic over; its single implementation is pinned
+//!   against [`netaddr::PrefixTrie`] in `tests/lpm_oracle.rs`.
+//!   [`FrozenIndex`] is the builder-side canonical entry set that
+//!   [`Artifact::encode`] consumes — it does not serve.
 //! * **[`QueryEngine`]** — batch lookups over any [`IndexView`] fan
 //!   out over rayon in fixed-size chunks, each fronted by a small
 //!   hot-block cache whose hit/miss counters are deterministic at any
 //!   thread count; an attached [`Observer`](cellobs::Observer)
 //!   collects `serve.*` counters and a lookup-latency histogram.
 //!
-//! The `cellspot index build --format {v1,v2}`, `cellspot index
-//! migrate`, and `cellspot lookup` CLI subcommands wrap this crate,
-//! and `bench_lookup` measures v1-vs-v2 cold-start copies and lookup
-//! throughput in the same run.
+//! The `cellspot index build`, `cellspot index migrate`, and
+//! `cellspot lookup` CLI subcommands wrap this crate, and
+//! `bench_lookup` measures cold-start copies and lookup throughput.
 //!
 //! ## Quick tour
 //!
 //! ```
-//! use cellserve::{Artifact, ArtifactFormat, AsClass, FrozenIndex, ServeLabel};
+//! use cellserve::{Artifact, ArtifactFormat, AsClass, FrozenIndex, IndexView, ServeLabel};
 //! use netaddr::{Asn, Ipv4Net};
 //!
 //! let mut builder = FrozenIndex::builder();
@@ -66,7 +68,7 @@ pub use artifact::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
 pub use engine::{BatchStats, IpKey, LookupMatch, MatchedPrefix, QueryEngine, QUERY_CHUNK};
 pub use error::ServeError;
 pub use frozen::{AsClass, FrozenIndex, FrozenIndexBuilder, PrefixCodec, ServeLabel};
-pub use handle::{Artifact, ArtifactFormat, ArtifactHandle};
+pub use handle::{Artifact, ArtifactBytes, ArtifactFormat, ArtifactHandle};
 pub use hash::{content_hash, hash_hex};
 pub use v2::{MappedIndex, ARTIFACT_V2_VERSION};
 pub use view::IndexView;

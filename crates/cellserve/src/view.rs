@@ -1,20 +1,19 @@
-//! The unified read API over a serving index.
+//! The read API over a serving index.
 //!
 //! [`IndexView`] is the borrowed trait every consumer of a loaded
-//! artifact programs against: the owned [`FrozenIndex`](crate::FrozenIndex)
-//! (decoded v1, still the form the build and delta paths manipulate),
-//! the zero-copy [`MappedIndex`](crate::MappedIndex) over a v2 byte
-//! buffer, and the owning [`ArtifactHandle`](crate::ArtifactHandle) all
-//! implement it. The [`QueryEngine`](crate::QueryEngine),
-//! `cellserved::Generation`, and the CELLDELT patch path are generic
-//! over the view, so serving code never cares which representation
-//! answered.
+//! artifact programs against. It has one implementation —
+//! [`MappedIndex`](crate::MappedIndex) over validated v2 bytes, which
+//! [`ArtifactHandle`](crate::ArtifactHandle) is the owning form of —
+//! plus the `&V` / `Arc<V>` / `Box<V>` delegations below. It stays a
+//! trait because the [`QueryEngine`](crate::QueryEngine),
+//! `cellserved::Generation`, `cellload` and the benchmark are bound on
+//! `V: IndexView + ?Sized` and hand it through those smart pointers;
+//! the builder-side [`FrozenIndex`](crate::FrozenIndex) is not a view.
 //!
 //! The primitive surface is deliberately small — longest-prefix match
 //! returning `(prefix_len, label_index)`, label-table access, and
 //! canonical entry iteration — with the user-facing conveniences
-//! (`lookup_v4`, `len`, `as_count`, …) derived from it, so a new
-//! representation only has to get the primitives right.
+//! (`lookup_v4`, `len`, `as_count`, …) derived from it.
 
 use netaddr::{Ipv4Net, Ipv6Net};
 
@@ -160,6 +159,7 @@ delegate_index_view!(&V, std::sync::Arc<V>, Box<V>);
 mod tests {
     use super::*;
     use crate::frozen::{AsClass, FrozenIndex};
+    use crate::handle::served;
     use netaddr::Asn;
 
     fn label(asn: u32, class: AsClass) -> ServeLabel {
@@ -170,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn derived_methods_agree_with_frozen_inherents() {
+    fn derived_methods_and_delegations_agree_with_the_sealed_entry_set() {
         let mut b = FrozenIndex::builder();
         b.insert_v4(
             "10.0.0.0/8".parse().expect("cidr"),
@@ -185,14 +185,29 @@ mod tests {
             label(3, AsClass::Unknown),
         );
         let idx = b.build();
-        let view: &dyn IndexView = &idx;
+        let handle = std::sync::Arc::new(served(&idx));
+        // Through the Arc delegation and as a trait object.
+        let view: &dyn IndexView = &handle;
         assert_eq!(view.len(), idx.len());
+        assert!(!view.is_empty());
         assert_eq!(view.as_count(), idx.as_count());
         assert_eq!(view.prefix_counts(), idx.prefix_counts());
-        assert_eq!(view.lookup_v4(0x0A010203), idx.lookup_v4(0x0A010203));
+        assert_eq!(
+            view.lookup_v4(0x0A010203),
+            Some((
+                "10.1.0.0/16".parse().expect("cidr"),
+                label(2, AsClass::Dedicated)
+            ))
+        );
         assert_eq!(view.lookup_v4(0x0B000001), None);
         let addr = 0x2001_0db8_0000_0000_0000_0000_0000_0001u128;
-        assert_eq!(view.lookup_v6(addr), idx.lookup_v6(addr));
+        assert_eq!(
+            view.lookup_v6(addr),
+            Some((
+                "2001:db8::/48".parse().expect("cidr"),
+                label(3, AsClass::Unknown)
+            ))
+        );
         let mut seen = Vec::new();
         view.for_each_v4(&mut |net, l| seen.push((net, l)));
         assert_eq!(seen, idx.entries_v4().collect::<Vec<_>>());

@@ -1,27 +1,25 @@
-//! Property suite for the v2 artifact format and the format-generic
-//! load path.
+//! Property suite for the sealed artifact formats.
 //!
-//! The tentpole properties of the CELLSERV v2 redesign:
+//! Lookup behaviour lives in `lpm_oracle.rs`; this suite pins what the
+//! bytes themselves promise:
 //!
-//! * **Format equivalence** — for any index, the zero-copy
-//!   [`cellserve::MappedIndex`] over the v2 bytes, the
-//!   [`cellserve::ArtifactHandle`]s opened from v1 and from v2 bytes,
-//!   and the owned [`cellserve::FrozenIndex`] all answer every lookup
-//!   identically, in both families, hit or miss.
 //! * **Corruption rejection** — any single-byte corruption of a sealed
-//!   v2 artifact, at any position with any nonzero XOR pattern, is
-//!   rejected at load, as is truncation to any shorter length. (The
-//!   unit suite in `v2.rs` additionally sweeps every byte position
-//!   exhaustively.)
+//!   artifact, at any position with any nonzero XOR pattern, is
+//!   rejected at load, as is truncation to any shorter length — for
+//!   the served v2 format through [`cellserve::MappedIndex`] and
+//!   [`cellserve::Artifact::from_bytes`], and for the migrate-only v1
+//!   codec through [`cellserve::Artifact::decode`]. (`tests/sealed_formats.rs`
+//!   at the workspace root additionally sweeps every bit of a fixed
+//!   fixture exhaustively.)
+//! * **Lossless, canonical codecs** — decoding either format returns
+//!   the sealed entry set exactly, and re-encoding it is byte-identical.
 //! * **Migration determinism** — `index migrate`'s core
 //!   (decode + re-encode) is byte-deterministic: v1→v2 equals a direct
 //!   v2 seal, v1→v2→v1 is the identity, and re-encoding is stable.
 
 use proptest::prelude::*;
 
-use cellserve::{
-    Artifact, ArtifactFormat, AsClass, FrozenIndexBuilder, IndexView, MappedIndex, ServeLabel,
-};
+use cellserve::{Artifact, ArtifactFormat, AsClass, FrozenIndexBuilder, MappedIndex, ServeLabel};
 use netaddr::{Asn, Ipv4Net, Ipv6Net};
 
 fn arb_label() -> impl Strategy<Value = ServeLabel> {
@@ -59,75 +57,7 @@ fn build_index(
     builder.build()
 }
 
-/// Last address covered by a v6 prefix.
-fn v6_last(net: Ipv6Net) -> u128 {
-    let host_mask = if net.len() == 0 {
-        u128::MAX
-    } else {
-        !(u128::MAX << (128 - net.len()))
-    };
-    net.addr() | host_mask
-}
-
 proptest! {
-    /// One index, four read paths — the owned `FrozenIndex`, the
-    /// borrowed `MappedIndex` over the v2 bytes, and `ArtifactHandle`s
-    /// from v1 and v2 bytes — must agree on every probe: the entries'
-    /// first and last covered addresses (guaranteed hits at varied
-    /// depths) plus random addresses (mostly misses).
-    #[test]
-    fn all_views_answer_identically(
-        v4_entries in prop::collection::vec(arb_v4(), 0..32),
-        v6_entries in prop::collection::vec(arb_v6(), 0..32),
-        v4_probes in prop::collection::vec(any::<u32>(), 0..32),
-        v6_probes in prop::collection::vec(any::<u128>(), 0..32),
-    ) {
-        let frozen = build_index(&v4_entries, &v6_entries);
-        let v1_bytes = Artifact::encode(&frozen, ArtifactFormat::V1);
-        let v2_bytes = Artifact::encode(&frozen, ArtifactFormat::V2);
-        let mapped = MappedIndex::new(&v2_bytes).expect("freshly sealed v2 validates");
-        let v1_handle = Artifact::from_bytes(&v1_bytes).expect("freshly sealed v1 loads");
-        let v2_handle = Artifact::from_bytes(&v2_bytes).expect("freshly sealed v2 loads");
-        prop_assert_eq!(v1_handle.format(), ArtifactFormat::V1);
-        prop_assert_eq!(v2_handle.format(), ArtifactFormat::V2);
-
-        let mut v4_addrs = v4_probes;
-        for &(addr, len, _) in &v4_entries {
-            let net = Ipv4Net::new(addr, len).expect("len ≤ 32");
-            v4_addrs.push(net.first());
-            v4_addrs.push(net.last());
-        }
-        for a in v4_addrs {
-            let want = frozen.lookup_v4(a);
-            prop_assert_eq!(mapped.lookup_v4(a), want, "mapped v4 {:#010x}", a);
-            prop_assert_eq!(v1_handle.lookup_v4(a), want, "v1 handle v4 {:#010x}", a);
-            prop_assert_eq!(v2_handle.lookup_v4(a), want, "v2 handle v4 {:#010x}", a);
-        }
-
-        let mut v6_addrs = v6_probes;
-        for &(addr, len, _) in &v6_entries {
-            let net = Ipv6Net::new(addr, len).expect("len ≤ 128");
-            v6_addrs.push(net.addr());
-            v6_addrs.push(v6_last(net));
-        }
-        for a in v6_addrs {
-            let want = frozen.lookup_v6(a);
-            prop_assert_eq!(mapped.lookup_v6(a), want, "mapped v6 {:#034x}", a);
-            prop_assert_eq!(v1_handle.lookup_v6(a), want, "v1 handle v6 {:#034x}", a);
-            prop_assert_eq!(v2_handle.lookup_v6(a), want, "v2 handle v6 {:#034x}", a);
-        }
-
-        // Aggregates agree too, across the IndexView and inherent APIs.
-        prop_assert_eq!(mapped.prefix_counts(), frozen.prefix_counts());
-        prop_assert_eq!(v2_handle.prefix_counts(), frozen.prefix_counts());
-        prop_assert_eq!(mapped.len(), frozen.len());
-        prop_assert_eq!(v2_handle.len(), frozen.len());
-        prop_assert_eq!(
-            IndexView::label_count(&mapped),
-            IndexView::label_count(&frozen)
-        );
-    }
-
     /// Any single-byte corruption of the v2 bytes, at any position with
     /// any nonzero XOR pattern, is rejected — both by the borrowed view
     /// and through the sniffing `Artifact::from_bytes` entry point.
@@ -169,6 +99,43 @@ proptest! {
         prop_assert!(
             Artifact::from_bytes(&bytes[..cut]).is_err(),
             "from_bytes accepted truncation to {} of {} bytes", cut, bytes.len()
+        );
+    }
+
+    /// The v1 codec (what `index migrate` reads old files with) is
+    /// lossless and canonical, exactly like v2.
+    #[test]
+    fn both_codecs_roundtrip_losslessly_and_canonically(
+        v4_entries in prop::collection::vec(arb_v4(), 0..32),
+        v6_entries in prop::collection::vec(arb_v6(), 0..32),
+    ) {
+        let index = build_index(&v4_entries, &v6_entries);
+        for format in [ArtifactFormat::V1, ArtifactFormat::V2] {
+            let bytes = Artifact::encode(&index, format);
+            let decoded = Artifact::decode(&bytes);
+            prop_assert_eq!(decoded.as_ref(), Ok(&index), "{}", format);
+            prop_assert_eq!(
+                Artifact::encode(&decoded.expect("just matched"), format),
+                bytes,
+                "{} re-encoding", format
+            );
+        }
+    }
+
+    /// Any single-byte corruption of v1 bytes, at any position, with
+    /// any nonzero XOR pattern, is rejected by the decoder.
+    #[test]
+    fn random_single_byte_corruption_of_v1_is_rejected(
+        entries in prop::collection::vec(arb_v4(), 0..24),
+        pos_seed in any::<usize>(),
+        xor in 1u8..=255,
+    ) {
+        let mut bytes = Artifact::encode(&build_index(&entries, &[]), ArtifactFormat::V1);
+        let pos = pos_seed % bytes.len();
+        bytes[pos] ^= xor;
+        prop_assert!(
+            Artifact::decode(&bytes).is_err(),
+            "flip {:#04x} at byte {} accepted", xor, pos
         );
     }
 

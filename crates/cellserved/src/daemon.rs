@@ -11,7 +11,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cellobs::{ObsSnapshot, Observer};
-use cellserve::{Artifact, FrozenIndex, IpKey, LookupMatch, QueryEngine, QUERY_CHUNK};
+use cellserve::{Artifact, ArtifactHandle, IpKey, LookupMatch, QueryEngine, QUERY_CHUNK};
 
 use crate::batcher::{BatchQueue, Pending};
 use crate::conns::{bind_reuseaddr, ConnTracker};
@@ -171,10 +171,10 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Open, validate, and serve a sealed artifact file. A v2 artifact
-    /// is mmapped and served in place — near-zero bytes copied at boot;
-    /// a v1 artifact is decoded as before. Either way the daemon's
-    /// behavior is identical (see [`cellserve::IndexView`]).
+    /// Open, validate, and serve a sealed artifact file: mmapped and
+    /// served in place — near-zero bytes copied at boot. A CELLSERV v1
+    /// file is refused ([`cellserve::ServeError::UnsupportedVersion`])
+    /// with a pointer to `cellspot index migrate`.
     pub fn start(
         config: ServeConfig,
         artifact: &Path,
@@ -188,13 +188,14 @@ impl Daemon {
         Self::start_inner(config, store, Some((artifact.to_path_buf(), initial)), obs)
     }
 
-    /// Serve an index built in-process (no artifact file, no reload).
-    pub fn start_with_index(
+    /// Serve an already-loaded artifact (no artifact file to watch, so
+    /// no reload) — sealed in-process or opened by the caller.
+    pub fn start_with_handle(
         config: ServeConfig,
-        index: FrozenIndex,
+        handle: ArtifactHandle,
         obs: Observer,
     ) -> Result<Daemon, ServedError> {
-        let store = GenerationStore::new(index, obs.clone());
+        let store = GenerationStore::from_handle(handle, obs.clone());
         Self::start_inner(config, store, None, obs)
     }
 

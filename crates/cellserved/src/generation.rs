@@ -4,15 +4,16 @@
 //! The daemon never mutates a served index. Instead it holds an
 //! [`Arc<Generation>`] behind an `RwLock`: lookups take a read lock just
 //! long enough to clone the `Arc` (nanoseconds), then run entirely on
-//! the immutable [`ArtifactHandle`] snapshot they hold — a zero-copy
-//! mmap view for v2 artifacts, a decoded [`FrozenIndex`] for v1. A
-//! reload validates the candidate artifact *outside* any lock — seal,
+//! the immutable [`ArtifactHandle`] snapshot they hold — validated v2
+//! bytes, served in place off an mmap or an aligned buffer. A reload
+//! validates the candidate artifact *outside* any lock — seal,
 //! structure, and version, exactly the checks [`cellserve::Artifact`]
 //! performs — and only then takes the write lock for a pointer swap.
-//! A corrupt, truncated, or newer-version candidate is rejected before
-//! the swap point, so the old generation keeps serving untouched;
-//! in-flight batches that cloned the old `Arc` finish on it and drop it
-//! when done.
+//! A corrupt, truncated, newer-version, or CELLSERV v1 candidate (the
+//! last refused with a pointer to `cellspot index migrate`) is rejected
+//! before the swap point, so the old generation keeps serving
+//! untouched; in-flight batches that cloned the old `Arc` finish on it
+//! and drop it when done.
 //!
 //! Generations also carry the content hash of their sealed bytes and an
 //! epoch, which together let sealed [`celldelta`] deltas patch the live
@@ -27,15 +28,15 @@ use std::sync::{Arc, RwLock};
 
 use celldelta::{Delta, DeltaError};
 use cellobs::Observer;
-use cellserve::{Artifact, ArtifactFormat, ArtifactHandle, FrozenIndex, ServeError};
+use cellserve::{Artifact, ArtifactHandle, ServeError};
 
 use crate::error::ServedError;
 
 /// One immutable, validated artifact generation.
 pub struct Generation {
     /// The loaded artifact this generation serves: answers through
-    /// [`cellserve::IndexView`] whichever format it holds, and keeps
-    /// its sealed bytes so deltas can chain on them.
+    /// [`cellserve::IndexView`] straight out of its sealed v2 bytes,
+    /// which are also what deltas chain on.
     pub index: Arc<ArtifactHandle>,
     /// Monotonic generation number, starting at 1 for the boot artifact.
     pub number: u64,
@@ -74,17 +75,8 @@ impl GenerationStore {
         }
     }
 
-    /// A store serving an in-process `index` as generation 1 at epoch
-    /// 0. The index is sealed once (default v2 format) so the
-    /// generation has canonical bytes for the delta chain.
-    pub fn new(index: FrozenIndex, obs: Observer) -> Self {
-        let sealed = Artifact::encode(&index, ArtifactFormat::V2);
-        let handle = Artifact::from_bytes(&sealed).expect("just-encoded artifact validates");
-        Self::from_handle(handle, obs)
-    }
-
     /// Open and validate a sealed artifact file into generation 1 —
-    /// mmap-backed and near-zero-copy when the file is v2.
+    /// mmap-backed and near-zero-copy where the platform allows.
     pub fn load(path: &Path, obs: Observer) -> Result<Self, ServedError> {
         let handle = Artifact::open(path)?;
         Ok(Self::from_handle(handle, obs))
@@ -133,12 +125,12 @@ impl GenerationStore {
         number
     }
 
-    /// Validate candidate artifact bytes (either format, sniffed) and,
-    /// on success, atomically swap them in as the next generation;
-    /// returns its number. On any validation failure (broken seal,
-    /// structural violation past a forged seal, unsupported version)
-    /// the old generation keeps serving and the
-    /// `served.reload.rejected` counter is bumped.
+    /// Validate candidate artifact bytes and, on success, atomically
+    /// swap them in as the next generation; returns its number. On any
+    /// validation failure (broken seal, structural violation past a
+    /// forged seal, unsupported version — CELLSERV v1 included) the old
+    /// generation keeps serving and the `served.reload.rejected`
+    /// counter is bumped.
     pub fn try_swap_bytes(&self, bytes: &[u8]) -> Result<u64, ServeError> {
         // Validate outside the lock: candidate cost never stalls readers.
         let handle = match Artifact::from_bytes(bytes) {
@@ -154,7 +146,7 @@ impl GenerationStore {
     }
 
     /// [`try_swap_bytes`](Self::try_swap_bytes) from a file, loading
-    /// through [`Artifact::open`] so a v2 candidate is mapped rather
+    /// through [`Artifact::open`] so the candidate is mapped rather
     /// than copied; an unreadable or invalid candidate counts as a
     /// rejected reload.
     pub fn try_swap_path(&self, path: &Path) -> Result<u64, ServedError> {
@@ -197,8 +189,7 @@ impl GenerationStore {
         }
         // Patch the generation's sealed bytes, outside any lock;
         // `apply_parsed` verifies the base hash before touching
-        // anything and the target hash after re-encoding in the base's
-        // format.
+        // anything and the target hash after re-encoding.
         let patched = match celldelta::apply_parsed(cur.index.sealed_bytes(), &delta) {
             Ok(b) => b,
             Err(e) => return Err(reject(ServedError::Delta(e))),
@@ -250,7 +241,9 @@ impl GenerationStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellserve::{AsClass, ServeLabel, ARTIFACT_V2_VERSION};
+    use cellserve::{
+        ArtifactFormat, AsClass, FrozenIndex, IndexView, ServeLabel, ARTIFACT_V2_VERSION,
+    };
     use netaddr::Asn;
 
     fn index(asn: u32) -> FrozenIndex {
@@ -269,10 +262,16 @@ mod tests {
         Artifact::encode(&index(asn), ArtifactFormat::V2)
     }
 
+    /// A store serving `index(1)` as generation 1.
+    fn store(obs: &Observer) -> GenerationStore {
+        let handle = Artifact::from_bytes(&sealed(1)).expect("just-encoded artifact validates");
+        GenerationStore::from_handle(handle, obs.clone())
+    }
+
     #[test]
     fn swap_replaces_the_generation_and_counts() {
         let obs = Observer::enabled();
-        let store = GenerationStore::new(index(1), obs.clone());
+        let store = store(&obs);
         assert_eq!(store.generation(), 1);
         let held = store.current();
 
@@ -294,23 +293,26 @@ mod tests {
     }
 
     #[test]
-    fn v1_candidates_still_swap_in() {
+    fn v1_candidates_are_refused_with_the_migrate_hint() {
         let obs = Observer::enabled();
-        let store = GenerationStore::new(index(1), obs.clone());
+        let store = store(&obs);
         let v1 = Artifact::encode(&index(3), ArtifactFormat::V1);
-        let n = store.try_swap_bytes(&v1).expect("v1 candidate swaps");
-        assert_eq!(n, 2);
-        let cur = store.current();
-        assert_eq!(cur.index.format(), ArtifactFormat::V1);
-        assert_eq!(cur.artifact_hash, cellserve::content_hash(&v1));
-        let (_, label) = cur.index.lookup_v4(0x0A000001).expect("v1 gen serves");
-        assert_eq!(label.asn, Asn(3));
+        let err = store.try_swap_bytes(&v1).expect_err("v1 candidate");
+        assert_eq!(err, ServeError::UnsupportedVersion(1));
+        assert!(err.to_string().contains("cellspot index migrate"), "{err}");
+
+        assert_eq!(store.generation(), 1, "generation 1 keeps serving");
+        let (_, label) = store.current().index.lookup_v4(0x0A000001).expect("serves");
+        assert_eq!(label.asn, Asn(1));
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters["served.reload.rejected"], 1);
+        assert!(!snap.counters.contains_key("served.reload.ok"));
     }
 
     #[test]
     fn rejected_candidates_leave_the_old_generation() {
         let obs = Observer::enabled();
-        let store = GenerationStore::new(index(1), obs.clone());
+        let store = store(&obs);
 
         let mut corrupt = sealed(2);
         let mid = corrupt.len() / 2;
@@ -319,7 +321,7 @@ mod tests {
 
         // Candidate claiming a version newer than any this build can
         // serve, re-sealed so only the version check can reject it.
-        let mut newer = Artifact::encode(&index(2), ArtifactFormat::V1);
+        let mut newer = sealed(2);
         let v = ARTIFACT_V2_VERSION + 1;
         newer[8..12].copy_from_slice(&v.to_le_bytes());
         cellseal::reseal(&mut newer);
@@ -339,7 +341,7 @@ mod tests {
     #[test]
     fn deltas_patch_the_live_generation() {
         let obs = Observer::enabled();
-        let store = GenerationStore::new(index(1), obs.clone());
+        let store = store(&obs);
         let base = sealed(1);
         let target = sealed(2);
         let delta = celldelta::build_delta(&base, &target, 0, 1).expect("build");
@@ -369,7 +371,7 @@ mod tests {
     #[test]
     fn wrong_base_and_corrupt_deltas_are_rejected() {
         let obs = Observer::enabled();
-        let store = GenerationStore::new(index(1), obs.clone());
+        let store = store(&obs);
         let base = sealed(1);
         let other = sealed(7);
         let target = sealed(2);

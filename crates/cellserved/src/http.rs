@@ -35,7 +35,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use cellserve::IpKey;
+use cellserve::{IndexView, IpKey};
 
 use crate::daemon::{lookup_via_batcher, Ctx};
 use crate::error::ServedError;

@@ -320,8 +320,8 @@ impl FramedClient {
         Ok(client)
     }
 
-    /// Build a client without connecting; the first [`lookup`]
-    /// (FramedClient::lookup) connects (with the full retry budget).
+    /// Build a client without connecting; the first
+    /// [`lookup`](FramedClient::lookup) connects (with the full retry budget).
     /// Use this when the daemon may not be up yet — a replay driver
     /// started alongside a daemon, a supervisor racing a restart.
     pub fn lazy<A: ToSocketAddrs>(addr: A, policy: ClientPolicy) -> std::io::Result<FramedClient> {

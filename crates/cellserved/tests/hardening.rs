@@ -7,13 +7,15 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use cellobs::Observer;
-use cellserve::{AsClass, FrozenIndex, IpKey, ServeLabel};
+use cellserve::{
+    Artifact, ArtifactFormat, ArtifactHandle, AsClass, FrozenIndex, IpKey, ServeLabel,
+};
 use cellserved::{ClientPolicy, Daemon, FramedClient, ServeConfig};
 use netaddr::Asn;
 use proptest::prelude::*;
 
-/// An in-process index serving 10.0.0.0/8 — enough for every test here.
-fn index() -> FrozenIndex {
+/// An in-process artifact serving 10.0.0.0/8 — enough for every test here.
+fn index() -> ArtifactHandle {
     let mut b = FrozenIndex::builder();
     b.insert_v4(
         "10.0.0.0/8".parse().expect("cidr"),
@@ -22,7 +24,8 @@ fn index() -> FrozenIndex {
             class: AsClass::Dedicated,
         },
     );
-    b.build()
+    Artifact::from_bytes(&Artifact::encode(&b.build(), ArtifactFormat::V2))
+        .expect("just-encoded artifact validates")
 }
 
 /// Both listeners on ephemeral ports. The socket timeout is generous
@@ -59,7 +62,7 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 fn start(config: ServeConfig) -> (Daemon, Observer) {
     let obs = Observer::enabled();
-    let daemon = Daemon::start_with_index(config, index(), obs.clone()).expect("daemon starts");
+    let daemon = Daemon::start_with_handle(config, index(), obs.clone()).expect("daemon starts");
     (daemon, obs)
 }
 

@@ -122,14 +122,13 @@ pub fn index_build(
     beacons: &BeaconDataset,
     demand: &DemandDataset,
     threshold: Option<f64>,
-    format: ArtifactFormat,
     obs: &cellobs::Observer,
 ) -> Result<(Vec<u8>, String), CellspotError> {
     let t = threshold.unwrap_or(DEFAULT_THRESHOLD);
     let index = BlockIndex::build(beacons, demand);
     let counters = EpochCounters::from_index(0, &index);
     let frozen = celldelta::classify_epoch(&counters, t);
-    let bytes = Artifact::encode(&frozen, format);
+    let bytes = Artifact::encode(&frozen, ArtifactFormat::V2);
     let hash = cellserve::content_hash(&bytes);
     obs.counter("index.blocks").add(counters.len() as u64);
     obs.counter("index.ases").add(frozen.as_count() as u64);
@@ -137,23 +136,24 @@ pub fn index_build(
     let (v4, v6) = frozen.prefix_counts();
     let summary = format!(
         "frozen {v4} IPv4 + {v6} IPv6 prefixes, {} labels over {} ASes from {} blocks, \
-         {} bytes (format v{}), content hash {}\n",
+         {} bytes (format v2), content hash {}\n",
         frozen.label_count(),
         frozen.as_count(),
         counters.len(),
         bytes.len(),
-        format.version(),
         cellserve::hash_hex(hash),
     );
     Ok((bytes, summary))
 }
 
 /// `index migrate`: convert a sealed artifact between formats without
-/// reclassifying anything. The conversion is byte-deterministic — both
-/// encoders are canonical, so migrating the same input always yields the
-/// same output, and a v1→v2→v1 round trip reproduces the v1 bytes.
-/// Migrating to the format the artifact already has is an error (the
-/// output would be the input; copy the file instead).
+/// reclassifying anything — the one place a CELLSERV v1 file is still
+/// read (`lookup`, `serve` and `delta` take v2 only). The conversion is
+/// byte-deterministic — both encoders are canonical, so migrating the
+/// same input always yields the same output, and a v1→v2→v1 round trip
+/// reproduces the v1 bytes. Migrating to the format the artifact
+/// already has is an error (the output would be the input; copy the
+/// file instead).
 pub fn index_migrate(bytes: &[u8], to: ArtifactFormat) -> Result<(Vec<u8>, String), ServeError> {
     let from = Artifact::sniff_format(bytes).ok_or_else(|| {
         ServeError::Corrupt("unrecognized artifact (bad magic or unknown version)".into())
@@ -163,8 +163,7 @@ pub fn index_migrate(bytes: &[u8], to: ArtifactFormat) -> Result<(Vec<u8>, Strin
             "artifact is already {to}; nothing to migrate"
         )));
     }
-    let handle = Artifact::from_bytes(bytes)?;
-    let migrated = Artifact::encode(&handle.to_frozen(), to);
+    let migrated = Artifact::encode(&Artifact::decode(bytes)?, to);
     let summary = format!(
         "migrated {from} ({} bytes, hash {}) -> {to} ({} bytes, hash {})\n",
         bytes.len(),
@@ -191,12 +190,7 @@ pub fn delta_build(
     let t = threshold.unwrap_or(DEFAULT_THRESHOLD);
     let index = BlockIndex::build(beacons, demand);
     let counters = EpochCounters::from_index(epoch, &index);
-    // Deltas chain within one format, so the freshly classified target
-    // is sealed in whatever format the supplied base already has.
-    let format = Artifact::sniff_format(base_bytes).ok_or_else(|| {
-        DeltaError::Artifact("unrecognized base artifact (bad magic or unknown version)".into())
-    })?;
-    let target = Artifact::encode(&celldelta::classify_epoch(&counters, t), format);
+    let target = Artifact::encode(&celldelta::classify_epoch(&counters, t), ArtifactFormat::V2);
     let bytes = celldelta::build_delta(base_bytes, &target, base_epoch, epoch)?;
     let delta = Delta::from_bytes(&bytes)?;
     obs.counter("delta.ops").add(delta.op_count() as u64);
@@ -229,9 +223,8 @@ pub fn delta_apply(base_bytes: &[u8], delta_bytes: &[u8]) -> Result<(Vec<u8>, St
     Ok((patched, summary))
 }
 
-/// `lookup`: answer a batch of IPs against any loaded artifact view —
-/// an owned [`cellserve::FrozenIndex`] or a zero-copy
-/// [`cellserve::ArtifactHandle`] straight off an mmap.
+/// `lookup`: answer a batch of IPs against a loaded artifact — in
+/// practice a [`cellserve::ArtifactHandle`] straight off an mmap.
 ///
 /// Streams the result CSV (`ip,prefix,asn,class`, with `-` columns for
 /// misses, one row per query in input order) straight to `out` — the
@@ -468,8 +461,7 @@ mod tests {
     fn index_build_freezes_the_classification() {
         let (_, b, d) = setup();
         let obs = cellobs::Observer::disabled();
-        let (bytes, summary) =
-            index_build(&b, &d, None, ArtifactFormat::V2, &obs).expect("consistent datasets");
+        let (bytes, summary) = index_build(&b, &d, None, &obs).expect("consistent datasets");
         assert!(summary.contains("IPv4"), "{summary}");
         assert!(summary.contains("format v2"), "{summary}");
         let frozen = Artifact::from_bytes(&bytes).expect("sealed artifact loads");
@@ -493,8 +485,7 @@ mod tests {
     fn index_build_reports_hash_and_counts() {
         let (_, b, d) = setup();
         let obs = cellobs::Observer::enabled();
-        let (bytes, summary) =
-            index_build(&b, &d, None, ArtifactFormat::V2, &obs).expect("consistent datasets");
+        let (bytes, summary) = index_build(&b, &d, None, &obs).expect("consistent datasets");
         let hash = cellserve::content_hash(&bytes);
         assert!(summary.contains(&cellserve::hash_hex(hash)), "{summary}");
         assert!(summary.contains("ASes"), "{summary}");
@@ -508,7 +499,7 @@ mod tests {
     fn delta_build_then_apply_matches_a_full_index_build() {
         let (_, b, d) = setup();
         let obs = cellobs::Observer::enabled();
-        let (base, _) = index_build(&b, &d, None, ArtifactFormat::V2, &obs).expect("base build");
+        let (base, _) = index_build(&b, &d, None, &obs).expect("base build");
         // A different threshold guarantees label churn between "epochs".
         let (delta, summary) =
             delta_build(&base, &b, &d, Some(0.95), 0, 1, &obs).expect("delta build");
@@ -516,8 +507,7 @@ mod tests {
         assert!(summary.contains("epoch 0 -> 1"), "{summary}");
 
         let (patched, apply_summary) = delta_apply(&base, &delta).expect("delta apply");
-        let (full, _) =
-            index_build(&b, &d, Some(0.95), ArtifactFormat::V2, &obs).expect("full build");
+        let (full, _) = index_build(&b, &d, Some(0.95), &obs).expect("full build");
         assert_eq!(patched, full, "apply(base, delta) == full rebuild");
         assert!(
             apply_summary.contains(&cellserve::hash_hex(cellserve::content_hash(&full))),
@@ -541,8 +531,15 @@ mod tests {
     fn index_migrate_is_deterministic_and_roundtrips() {
         let (_, b, d) = setup();
         let obs = cellobs::Observer::disabled();
-        let (v1, _) = index_build(&b, &d, None, ArtifactFormat::V1, &obs).expect("v1 build");
-        let (v2_direct, _) = index_build(&b, &d, None, ArtifactFormat::V2, &obs).expect("v2 build");
+        let (v2_direct, _) = index_build(&b, &d, None, &obs).expect("v2 build");
+        // `index build` seals v2 only; a v1 file comes from migrating down.
+        let (v1, summary) = index_migrate(&v2_direct, ArtifactFormat::V1).expect("v2 -> v1");
+        assert!(summary.contains("migrated v2"), "{summary}");
+        assert_eq!(Artifact::sniff_format(&v1), Some(ArtifactFormat::V1));
+        assert!(
+            Artifact::from_bytes(&v1).is_err(),
+            "the v1 file is readable by migrate only"
+        );
 
         let (v2, summary) = index_migrate(&v1, ArtifactFormat::V2).expect("v1 -> v2");
         assert!(summary.contains("migrated v1"), "{summary}");
@@ -562,8 +559,7 @@ mod tests {
     fn lookup_batch_reports_rows_and_match_rate() {
         let (_, b, d) = setup();
         let obs = cellobs::Observer::disabled();
-        let (bytes, _) =
-            index_build(&b, &d, None, ArtifactFormat::V2, &obs).expect("consistent datasets");
+        let (bytes, _) = index_build(&b, &d, None, &obs).expect("consistent datasets");
         // The batch runs over the zero-copy handle, not a decoded copy.
         let frozen = Artifact::from_bytes(&bytes).expect("artifact loads");
         let (_, class) = Pipeline::new(&b, &d).classify().expect("default threshold");
@@ -598,8 +594,7 @@ mod tests {
     fn lookup_batch_with_no_queries_says_so() {
         let (_, b, d) = setup();
         let obs = cellobs::Observer::disabled();
-        let (bytes, _) =
-            index_build(&b, &d, None, ArtifactFormat::V2, &obs).expect("consistent datasets");
+        let (bytes, _) = index_build(&b, &d, None, &obs).expect("consistent datasets");
         let frozen = Artifact::from_bytes(&bytes).expect("artifact loads");
         let mut sink = Vec::new();
         let summary = lookup_batch(&frozen, &[], &obs, &mut sink).expect("vec write");

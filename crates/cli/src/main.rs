@@ -542,29 +542,14 @@ fn index(args: &[String]) -> CmdResult {
     }
 }
 
-/// `--format v1|v2` style flag; `None` when absent so each command picks
-/// its own default (v2 everywhere today).
-fn parse_format(
-    args: &[String],
-    flag: &str,
-) -> Result<Option<cellserve::ArtifactFormat>, CliError> {
-    flag_value(args, flag)
-        .map(|v| {
-            cellserve::ArtifactFormat::parse(&v)
-                .ok_or_else(|| CliError::Usage(format!("bad {flag} {v:?} (expected v1 or v2)")))
-        })
-        .transpose()
-}
-
 fn index_build(args: &[String]) -> CmdResult {
     setup_threads(args)?;
     let (beacons, demand) = load_datasets(args)?;
     let threshold = parse_threshold(args)?;
-    let format = parse_format(args, "--format")?.unwrap_or(cellserve::ArtifactFormat::V2);
     let out = PathBuf::from(required(args, "--out")?);
     let metrics = parse_metrics(args)?;
     let obs = observer_for(&metrics);
-    let (bytes, summary) = commands::index_build(&beacons, &demand, threshold, format, &obs)?;
+    let (bytes, summary) = commands::index_build(&beacons, &demand, threshold, &obs)?;
     // Same crash-safe sequence the checkpoint store uses: temp file →
     // fsync → rename → parent-dir fsync. A serving artifact must never
     // be observable half-written.
@@ -579,7 +564,11 @@ fn index_build(args: &[String]) -> CmdResult {
 fn index_migrate(args: &[String]) -> CmdResult {
     let in_path = required(args, "--in")?;
     let bytes = fs::read(&in_path).map_err(|e| CliError::Io(format!("{in_path}: {e}")))?;
-    let to = parse_format(args, "--to")?.unwrap_or(cellserve::ArtifactFormat::V2);
+    let to = match flag_value(args, "--to") {
+        Some(v) => cellserve::ArtifactFormat::parse(&v)
+            .ok_or_else(|| CliError::Usage(format!("bad --to {v:?} (expected v1 or v2)")))?,
+        None => cellserve::ArtifactFormat::V2,
+    };
     let out = PathBuf::from(required(args, "--out")?);
     // A malformed or already-converted input is bad data (exit 4), the
     // same contract as `lookup` on a corrupt artifact.
@@ -750,15 +739,14 @@ impl DeltaEmitter {
 }
 
 /// `lookup`: batch longest-prefix-match queries against a sealed
-/// artifact. The artifact is opened through [`cellserve::Artifact`], so
-/// a v2 file is served zero-copy straight off an mmap while a v1 file
-/// decodes into the owned index — the batch below is generic over both.
-/// A corrupt or truncated artifact is bad data (exit 4), not an I/O
-/// failure.
+/// artifact, opened through [`cellserve::Artifact`] and served
+/// zero-copy straight off an mmap. A corrupt, truncated, or CELLSERV v1
+/// artifact is bad data (exit 4, the v1 message naming `index
+/// migrate`), not an I/O failure.
 fn lookup(args: &[String]) -> CmdResult {
     setup_threads(args)?;
     let index_path = required(args, "--index")?;
-    let frozen =
+    let index =
         cellserve::Artifact::open(std::path::Path::new(&index_path)).map_err(|e| match e {
             cellserve::ServeError::Io(why) => CliError::Io(why),
             other => CliError::Data(format!("{index_path}: {other}")),
@@ -780,7 +768,7 @@ fn lookup(args: &[String]) -> CmdResult {
             let file = fs::File::create(&path)
                 .map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
             let mut out = std::io::BufWriter::new(file);
-            let summary = commands::lookup_batch(&frozen, &queries, &obs, &mut out)
+            let summary = commands::lookup_batch(&index, &queries, &obs, &mut out)
                 .map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
             eprintln!("lookup results → {}", path.display());
             summary
@@ -788,7 +776,7 @@ fn lookup(args: &[String]) -> CmdResult {
         None => {
             let stdout = std::io::stdout();
             let mut out = std::io::BufWriter::new(stdout.lock());
-            commands::lookup_batch(&frozen, &queries, &obs, &mut out)
+            commands::lookup_batch(&index, &queries, &obs, &mut out)
                 .map_err(|e| CliError::Io(format!("stdout: {e}")))?
         }
     };
@@ -1021,12 +1009,16 @@ fn replay(args: &[String]) -> CmdResult {
         None => 1,
     };
 
-    // Per-epoch serving indexes and their prefix universes. Non-churn
+    // Per-epoch serving artifacts and their prefix universes. Non-churn
     // presets serve one frozen classification; churn classifies every
     // epoch of the built-in churn world so segment boundaries have real
-    // label deltas to cross.
-    let mut arcs: Vec<Arc<cellserve::FrozenIndex>> = Vec::new();
-    let mut artifacts: Vec<Vec<u8>> = Vec::new();
+    // label deltas to cross. Every mode replays these loaded handles —
+    // the engine directly, tcp/http through a daemon serving them.
+    let load = |index: &cellserve::FrozenIndex| {
+        let sealed = cellserve::Artifact::encode(index, cellserve::ArtifactFormat::V2);
+        Arc::new(cellserve::Artifact::from_bytes(&sealed).expect("just-encoded artifact validates"))
+    };
+    let mut artifacts: Vec<Arc<cellserve::ArtifactHandle>> = Vec::new();
     let mut universes: Vec<cellload::Universe> = Vec::new();
     let seed;
     if preset == cellload::Preset::Churn {
@@ -1038,13 +1030,12 @@ fn replay(args: &[String]) -> CmdResult {
         eprintln!("churn world (seed {seed:#x}): classifying {epochs} epoch(s) …");
         let world = celldelta::ChurnWorld::demo(seed);
         for e in 0..epochs {
-            let frozen = celldelta::classify_epoch(&world.epoch_counters(e), threshold);
-            universes.push(cellload::Universe::from_frozen(&frozen));
-            artifacts.push(cellserve::Artifact::encode(
-                &frozen,
-                cellserve::ArtifactFormat::V2,
+            let handle = load(&celldelta::classify_epoch(
+                &world.epoch_counters(e),
+                threshold,
             ));
-            arcs.push(Arc::new(frozen));
+            universes.push(cellload::Universe::from_view(&handle));
+            artifacts.push(handle);
         }
     } else {
         let (scale, config) = world_config(args)?;
@@ -1055,13 +1046,10 @@ fn replay(args: &[String]) -> CmdResult {
         let (_, class) = cellspot::Pipeline::new(&beacons, &demand)
             .threshold(threshold)
             .classify()?;
-        let frozen = cellserve::FrozenIndex::from_classification(&class, None);
         universes.push(cellload::Universe::from_classification(&class));
-        artifacts.push(cellserve::Artifact::encode(
-            &frozen,
-            cellserve::ArtifactFormat::V2,
-        ));
-        arcs.push(Arc::new(frozen));
+        artifacts.push(load(&cellserve::FrozenIndex::from_classification(
+            &class, None,
+        )));
     }
 
     let trace = match trace_in {
@@ -1089,9 +1077,11 @@ fn replay(args: &[String]) -> CmdResult {
     // The record always carries latency and cache numbers, so the
     // replay observer is enabled even without a --metrics export.
     let obs = Observer::enabled();
-    let last = arcs.len() - 1;
+    let last = artifacts.len() - 1;
     let outcome = match mode.as_str() {
-        "engine" => cellload::replay_engine(&trace, &obs, |e| arcs[(e as usize).min(last)].clone()),
+        "engine" => {
+            cellload::replay_engine(&trace, &obs, |e| artifacts[(e as usize).min(last)].clone())
+        }
         _ => {
             // Seal consecutive-epoch deltas up front; the segment hook
             // hot-patches the daemon right before each epoch's traffic.
@@ -1099,8 +1089,13 @@ fn replay(args: &[String]) -> CmdResult {
             for (i, pair) in artifacts.windows(2).enumerate() {
                 let e = i as u64;
                 deltas.push(
-                    celldelta::build_delta(&pair[0], &pair[1], e, e + 1)
-                        .map_err(|err| CliError::Data(format!("epoch {} delta: {err}", e + 1)))?,
+                    celldelta::build_delta(
+                        pair[0].sealed_bytes(),
+                        pair[1].sealed_bytes(),
+                        e,
+                        e + 1,
+                    )
+                    .map_err(|err| CliError::Data(format!("epoch {} delta: {err}", e + 1)))?,
                 );
             }
             let listen = Some("127.0.0.1:0".to_string());
@@ -1110,9 +1105,11 @@ fn replay(args: &[String]) -> CmdResult {
                 workers,
                 ..cellserved::ServeConfig::default()
             };
-            let base = cellserve::Artifact::decode(&artifacts[0])
+            // The daemon gets its own handle on the epoch-0 bytes (a
+            // generation owns its artifact; the engine legs share theirs).
+            let base = cellserve::Artifact::from_bytes(artifacts[0].sealed_bytes())
                 .map_err(|e| CliError::Data(format!("base artifact: {e}")))?;
-            let daemon = cellserved::Daemon::start_with_index(config, base, obs.clone())
+            let daemon = cellserved::Daemon::start_with_handle(config, base, obs.clone())
                 .map_err(|e| served_error("in-process daemon", e))?;
             let hook = |epoch: u64| -> Result<(), cellload::ReplayError> {
                 if epoch == 0 {
@@ -1203,7 +1200,7 @@ fn usage(err: &str) -> ! {
            identify-as --beacons F --demand F --asdb F [--min-du X] [--min-hits N] [--out F]\n\
            validate    --beacons F --demand F --ground-truth F [--sweep]\n\
            stats       --beacons F --demand F --asdb F\n\
-           index build --beacons F --demand F [--threshold T] [--format v1|v2] --out ARTIFACT\n\
+           index build --beacons F --demand F [--threshold T] --out ARTIFACT\n\
            index migrate --in ARTIFACT [--to v1|v2] --out ARTIFACT\n\
            delta build --base ARTIFACT --beacons F --demand F [--threshold T]\n\
                        [--base-epoch N] [--epoch N] --out DELTA\n\

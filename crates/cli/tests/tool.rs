@@ -532,6 +532,122 @@ fn corrupt_artifacts_are_rejected_as_bad_data() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A CELLSERV v1 file is readable by `index migrate` and nothing else:
+/// `lookup`, `serve` and `delta build` refuse it as bad data (exit 4)
+/// with a message that says what to run, and the migrated file serves.
+#[test]
+fn legacy_v1_artifacts_are_refused_until_migrated() {
+    let dir = tmpdir("legacy_v1");
+    let data = dir.join("data");
+    assert!(run(&[
+        "synth",
+        "--scale",
+        "mini",
+        "--out",
+        data.to_str().expect("utf8")
+    ])
+    .status
+    .success());
+    let beacons = data.join("beacons.csv");
+    let demand = data.join("demand.csv");
+    let (b, d) = (
+        beacons.to_str().expect("utf8"),
+        demand.to_str().expect("utf8"),
+    );
+    let built = dir.join("cells.idx");
+    let built_s = built.to_str().expect("utf8");
+    assert!(run(&[
+        "index",
+        "build",
+        "--beacons",
+        b,
+        "--demand",
+        d,
+        "--out",
+        built_s
+    ])
+    .status
+    .success());
+
+    // Manufacture the legacy file the only way left: migrate down.
+    let legacy = dir.join("legacy.idx");
+    let legacy_s = legacy.to_str().expect("utf8");
+    let out = run(&[
+        "index", "migrate", "--in", built_s, "--to", "v1", "--out", legacy_s,
+    ]);
+    assert!(out.status.success(), "migrate to v1 failed: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("migrated v2"));
+
+    let ips = dir.join("ips.txt");
+    std::fs::write(&ips, "192.0.2.1\n").expect("write");
+    let ips_s = ips.to_str().expect("utf8");
+    let refusals = [
+        run(&["lookup", "--index", legacy_s, "--ips", ips_s]),
+        run(&[
+            "serve",
+            "--index",
+            legacy_s,
+            "--listen",
+            "127.0.0.1:0",
+            "--shutdown-after-ms",
+            "50",
+        ]),
+        run(&[
+            "delta",
+            "build",
+            "--base",
+            legacy_s,
+            "--beacons",
+            b,
+            "--demand",
+            d,
+            "--out",
+            dir.join("never.cdlt").to_str().expect("utf8"),
+        ]),
+    ];
+    for out in &refusals {
+        assert_eq!(out.status.code(), Some(4), "v1 is bad data: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cellspot index migrate"), "{stderr}");
+    }
+
+    // Migrating it (v2 is the default target) restores the built bytes
+    // exactly, and that file answers and serves.
+    let migrated = dir.join("migrated.idx");
+    let migrated_s = migrated.to_str().expect("utf8");
+    let out = run(&["index", "migrate", "--in", legacy_s, "--out", migrated_s]);
+    assert!(out.status.success(), "migrate to v2 failed: {out:?}");
+    assert_eq!(
+        std::fs::read(&migrated).expect("migrated"),
+        std::fs::read(&built).expect("built"),
+        "v2 -> v1 -> v2 is the identity"
+    );
+    let out = run(&["lookup", "--index", migrated_s, "--ips", ips_s]);
+    assert!(out.status.success(), "lookup after migrate: {out:?}");
+    let out = run(&[
+        "serve",
+        "--index",
+        migrated_s,
+        "--listen",
+        "127.0.0.1:0",
+        "--shutdown-after-ms",
+        "100",
+    ]);
+    assert!(out.status.success(), "serve after migrate: {out:?}");
+
+    // Nothing to do is an error, and a bogus target a usage error.
+    let out = run(&[
+        "index", "migrate", "--in", built_s, "--to", "v2", "--out", migrated_s,
+    ]);
+    assert_eq!(out.status.code(), Some(4), "already v2: {out:?}");
+    let out = run(&[
+        "index", "migrate", "--in", built_s, "--to", "v3", "--out", migrated_s,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "unknown format: {out:?}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_runs_shuts_down_and_exports_metrics() {
     let dir = tmpdir("serve");
