@@ -4,15 +4,17 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use bench::build_bundle;
+use cellspotting::Pipeline;
 use report::experiments as e;
 use worldgen::WorldConfig;
 
 fn bench_experiments(c: &mut Criterion) {
-    let bundle = build_bundle(WorldConfig::mini());
-    let study = &bundle.study;
-    let db = &bundle.world.as_db;
-    let dns = &bundle.dns;
+    let run = Pipeline::new(WorldConfig::mini())
+        .run()
+        .expect("the default study config is valid");
+    let study = &run.study;
+    let db = &run.world.as_db;
+    let dns = run.dns.as_ref().expect("the facade generates DNS");
 
     let mut g = c.benchmark_group("experiments");
     g.sample_size(10);

@@ -3,16 +3,18 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use bench::build_bundle;
 use cellspot::{
     asn_level_ablation, classify_with_confidence, granularity_sweep, rule_ablation, AsnStrategy,
     FilterConfig,
 };
+use cellspotting::Pipeline;
 use worldgen::{evolve_blocks, ChurnConfig, WorldConfig};
 
 fn bench_extensions(c: &mut Criterion) {
-    let bundle = build_bundle(WorldConfig::mini());
-    let study = &bundle.study;
+    let run = Pipeline::new(WorldConfig::mini())
+        .run()
+        .expect("the default study config is valid");
+    let study = &run.study;
 
     let mut g = c.benchmark_group("extensions");
     g.sample_size(10);
@@ -36,7 +38,7 @@ fn bench_extensions(c: &mut Criterion) {
         b.iter(|| {
             black_box(rule_ablation(
                 &study.as_aggregates,
-                &bundle.world.as_db,
+                &run.world.as_db,
                 &FilterConfig {
                     min_cell_du: study.config.min_cell_du,
                     min_netinfo_hits: study.config.min_netinfo_hits,
@@ -51,12 +53,12 @@ fn bench_extensions(c: &mut Criterion) {
 
     g.bench_function("evolve_one_month", |b| {
         let churn = ChurnConfig::default();
-        b.iter(|| black_box(evolve_blocks(&bundle.world, &churn, 1)))
+        b.iter(|| black_box(evolve_blocks(&run.world, &churn, 1)))
     });
 
     g.bench_function("evolve_six_months", |b| {
         let churn = ChurnConfig::default();
-        b.iter(|| black_box(evolve_blocks(&bundle.world, &churn, 6)))
+        b.iter(|| black_box(evolve_blocks(&run.world, &churn, 6)))
     });
     g.finish();
 }

@@ -9,12 +9,13 @@
 //! Without ids, all 25 artifacts are produced (the paper's 20 tables and
 //! figures plus five extension experiments). Each artifact is printed
 //! and written to `DIR/<id>.txt` and `DIR/<id>.csv`; a `summary.txt`
-//! collects every headline note (measured vs. paper), and
-//! `DIR/timings.json` records per-stage wall-clock and item counts.
+//! collects every headline note (measured vs. paper).
 //!
 //! `--metrics FILE` additionally exports the full observability snapshot
 //! — spans, counters, gauges, histograms — in canonical JSON (default)
-//! or Prometheus text format.
+//! or Prometheus text format. Its spans (`worldgen`, `datasets`, `dns`,
+//! `study/<stage>`, `artifacts`, each with `millis` and `items`) are the
+//! one place stage wall-clock is read.
 //!
 //! `--threads N` (or the `CELLSPOT_THREADS` environment variable) pins
 //! the rayon pool for reproducible benchmarking; every result is
@@ -25,8 +26,9 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Instant;
 
-use bench::{build_bundle_with, config_for_scale};
+use bench::config_for_scale;
 use cellobs::{ExportFormat, Observer};
+use cellspotting::{Pipeline, PipelineReport};
 
 fn main() {
     let mut scale = "demo".to_string();
@@ -100,41 +102,32 @@ fn main() {
         config.block_scale, config.seed
     );
     let t0 = Instant::now();
-    let bundle = build_bundle_with(config, &obs);
+    let run = Pipeline::new(config)
+        .observer(obs.clone())
+        .run()
+        .expect("the default study config is valid");
+    let dns = run.dns.as_ref().expect("the facade generates DNS");
     eprintln!(
         "world: {} operators, {} blocks; BEACON {} blocks, DEMAND {} blocks ({:.1}s)",
-        bundle.world.operators.ops.len(),
-        bundle.world.blocks.records.len(),
-        bundle.beacons.len(),
-        bundle.demand.len(),
+        run.world.operators.ops.len(),
+        run.world.blocks.records.len(),
+        run.beacons.len(),
+        run.demand.len(),
         t0.elapsed().as_secs_f64()
     );
 
-    let t_artifacts = Instant::now();
-    let mut artifacts = report::all_artifacts(&bundle.study, &bundle.world.as_db, &bundle.dns);
-    artifacts.extend(report::ablation_artifacts(
-        &bundle.study,
-        &bundle.world.as_db,
-    ));
-    artifacts.push(temporal_artifact(&bundle));
-    let artifact_millis = t_artifacts.elapsed().as_secs_f64() * 1e3;
+    let mut span = obs.span("artifacts");
+    let mut artifacts = report::all_artifacts(&run.study, &run.world.as_db, dns);
+    artifacts.extend(report::ablation_artifacts(&run.study, &run.world.as_db));
+    artifacts.push(temporal_artifact(&run));
+    span.set_items(artifacts.len() as u64);
+    drop(span);
     fs::create_dir_all(&out_dir).expect("create output directory");
-
-    // Per-stage timings: setup stages from the bundle, study stages from
-    // the pipeline, artifact rendering measured here.
-    let mut timings = bundle.timing.clone();
-    timings.extend(&bundle.study.timing);
-    timings.push("artifacts", artifact_millis, artifacts.len() as u64);
-    fs::write(
-        out_dir.join("timings.json"),
-        serde_json::to_string_pretty(&timings).expect("serialize timings"),
-    )
-    .expect("write timings.json");
 
     let mut summary = String::new();
     summary.push_str(&format!(
         "Cell Spotting reproduction — scale {scale}, seed {:#x}\n\n",
-        bundle.world.config.seed
+        run.world.config.seed
     ));
     let mut produced = 0;
     for a in &artifacts {
@@ -170,7 +163,7 @@ fn main() {
 /// The §8 future-work extension: evolve the world over six months,
 /// re-measure and re-classify each month, and analyze the stability of
 /// the cellular set.
-fn temporal_artifact(bundle: &bench::Bundle) -> report::Artifact {
+fn temporal_artifact(run: &PipelineReport) -> report::Artifact {
     use rayon::prelude::*;
     let churn = worldgen::ChurnConfig::default();
     // Months are independent (each derives deterministically from the
@@ -180,7 +173,7 @@ fn temporal_artifact(bundle: &bench::Bundle) -> report::Artifact {
     let months: Vec<(cellspot::Classification, cellspot::BlockIndex)> = month_ids
         .par_iter()
         .map(|&m| {
-            let w = worldgen::world_at_month(&bundle.world, &churn, m);
+            let w = worldgen::world_at_month(&run.world, &churn, m);
             let (beacons, demand) = cdnsim::generate_datasets(&w);
             let index = cellspot::BlockIndex::build(&beacons, &demand);
             let class = cellspot::Classification::with_default_threshold(&index);

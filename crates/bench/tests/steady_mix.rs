@@ -1,16 +1,17 @@
-//! Pins the compatibility contract behind the `bench::query_mix` →
-//! cellload migration: the `steady` preset must reproduce the
-//! historical ad-hoc generator **byte for byte**, so every
-//! BENCH_lookup / BENCH_serve trajectory point measured before the
-//! migration stays comparable with every point measured after it.
+//! Pins the bytes of the `steady` preset: it must reproduce the
+//! historical ad-hoc generator (`bench::query_mix`, deleted with the
+//! cellload migration) **byte for byte**. What rides on it today is the
+//! `steady` trace `cellbench serve-tcp` replays — a change here moves
+//! that workload's trace digest and orphans its committed baselines.
 
-use bench::{build_bundle, config_for_scale};
 use cellload::{Preset, TraceSpec, Universe};
 use cellserve::IpKey;
 use cellspot::Classification;
+use cellspotting::Pipeline;
 use netaddr::BlockId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use worldgen::WorldConfig;
 
 /// A verbatim copy of the pre-cellload `bench::query_mix`
 /// implementation, kept here as the frozen reference stream.
@@ -45,8 +46,10 @@ fn legacy_query_mix(class: &Classification, lookups: usize, seed: u64) -> Vec<Ip
 
 #[test]
 fn steady_preset_reproduces_the_legacy_query_mix_byte_for_byte() {
-    let bundle = build_bundle(config_for_scale("mini").expect("mini scale"));
-    let class = &bundle.study.classification;
+    let report = Pipeline::new(WorldConfig::mini())
+        .run()
+        .expect("the default study config is valid");
+    let class = &report.study.classification;
     assert!(!class.is_empty(), "mini world classifies some blocks");
     for seed in [0, 7, 0xDEAD_BEEF] {
         let legacy = legacy_query_mix(class, 20_000, seed);

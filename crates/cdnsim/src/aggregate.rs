@@ -177,16 +177,18 @@ pub fn generate_demand_observed(
     ds
 }
 
-/// Both datasets with default CDN knobs, instrumented.
+/// Both datasets with default CDN knobs, instrumented: one `datasets`
+/// span over the two sampling spans.
 pub fn generate_datasets_observed(
     world: &World,
     obs: &cellobs::Observer,
 ) -> (BeaconDataset, DemandDataset) {
     let cfg = CdnConfig::default();
-    (
-        generate_beacons_observed(world, &cfg, obs),
-        generate_demand_observed(world, &cfg, obs),
-    )
+    let mut span = obs.span("datasets");
+    let beacons = generate_beacons_observed(world, &cfg, obs);
+    let demand = generate_demand_observed(world, &cfg, obs);
+    span.set_items((beacons.len() + demand.len()) as u64);
+    (beacons, demand)
 }
 
 #[cfg(test)]

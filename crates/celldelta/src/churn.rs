@@ -52,7 +52,7 @@ pub struct ChurnWorld {
 }
 
 impl ChurnWorld {
-    /// The preset the acceptance tests and `bench_delta` run on:
+    /// The preset the acceptance tests and `cellspot replay --preset churn` run on:
     /// 720 blocks across 90 ASes, ~1.5% of blocks mutated per epoch —
     /// comfortably inside the "<10% of blocks change between epochs"
     /// regime the delta path is specified against.

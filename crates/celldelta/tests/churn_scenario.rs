@@ -32,6 +32,7 @@ fn chained_deltas_track_full_rebuilds_byte_for_byte() {
     assert_eq!(live, full_build(&world.epoch_counters(0)));
 
     let mut prev_counters = world.epoch_counters(0);
+    let mut ops_total = 0;
     for epoch in 1..=EPOCHS {
         let counters = world.epoch_counters(epoch);
 
@@ -70,6 +71,7 @@ fn chained_deltas_track_full_rebuilds_byte_for_byte() {
         assert_eq!(delta.base_hash, cellserve::content_hash(&live));
         assert_eq!(delta.target_hash, cellserve::content_hash(&patched));
         assert_eq!((delta.base_epoch, delta.epoch), (epoch - 1, epoch));
+        ops_total += delta.op_count();
 
         live = patched;
         prev_counters = counters;
@@ -78,13 +80,14 @@ fn chained_deltas_track_full_rebuilds_byte_for_byte() {
     // After six epochs of chained applies, the live bytes still equal a
     // from-scratch rebuild at the final epoch.
     assert_eq!(live, full_build(&world.epoch_counters(EPOCHS)));
+    assert!(ops_total > 0, "block churn must move some labels");
 
     // Memoization did real work: most ASes hold still each epoch.
     let snap = obs.snapshot();
     let hits = snap.counters["delta.memo.hits"];
     let misses = snap.counters["delta.memo.misses"];
     assert!(
-        hits > misses,
+        hits > misses && misses > 0,
         "unchanged ASes must dominate: {hits} hits vs {misses} misses"
     );
 }

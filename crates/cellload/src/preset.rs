@@ -7,8 +7,8 @@
 //! position (never from the worker that happens to run it), the same
 //! counter-based discipline the batch pipeline and the query engine
 //! use. `steady` is generated sequentially because it must reproduce,
-//! byte for byte, the historical `bench::query_mix` stream that every
-//! BENCH_lookup / BENCH_serve trajectory point was measured under.
+//! byte for byte, the historical `bench::query_mix` stream — the trace
+//! `cellbench serve-tcp` replays (pinned by `crates/bench/tests/steady_mix.rs`).
 //!
 //! The presets (full definitions in `DESIGN.md`):
 //!

@@ -14,8 +14,8 @@
 //! is a single `u64` comparison.
 //!
 //! Network replays are closed-loop: each of `clients` worker threads
-//! owns one connection and keeps exactly one frame in flight, the same
-//! discipline as `bench_serve`. Per-frame round-trip latencies are
+//! owns one connection and keeps exactly one frame in flight.
+//! Per-frame round-trip latencies are
 //! recorded into the observer's `replay.frame.ns` histogram; the
 //! engine path records per-lookup latency via the engine's own
 //! `serve.lookup.ns`.

@@ -16,8 +16,8 @@
 //! calls to convert files sealed before v2.
 //!
 //! The handle also reports *how it booted* — [`ArtifactHandle::copied_bytes`]
-//! is the measured cold-start copy cost that `bench_lookup` records as
-//! `cold_start.bytes_copied` — and keeps the sealed bytes reachable
+//! is the measured cold-start copy cost that `cellbench` records as
+//! `cellserve.artifact.bytes_copied` — and keeps the sealed bytes reachable
 //! ([`MappedIndex::sealed_bytes`]) because CELLDELT deltas chain on
 //! their content hash.
 

@@ -31,8 +31,9 @@
 //!   collects `serve.*` counters and a lookup-latency histogram.
 //!
 //! The `cellspot index build`, `cellspot index migrate`, and
-//! `cellspot lookup` CLI subcommands wrap this crate, and
-//! `bench_lookup` measures cold-start copies and lookup throughput.
+//! `cellspot lookup` CLI subcommands wrap this crate, and the
+//! `cellbench` lookup workloads measure cold-start copies and lookup
+//! throughput.
 //!
 //! ## Quick tour
 //!

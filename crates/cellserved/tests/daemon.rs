@@ -160,6 +160,54 @@ fn both_endpoints_answer_and_every_lookup_is_sampled() {
     assert!(snap.gauges.contains_key("served.lookup.wait.ns.p999"));
 }
 
+/// Closed-loop framed clients hold their connection for the whole run:
+/// every frame past the first per connection is a keep-alive reuse, and
+/// the engine-side counter accounts for every query a client sent.
+#[test]
+fn framed_keepalive_accounts_every_frame_and_query() {
+    const CLIENTS: u64 = 2;
+    const FRAMES: u64 = 20;
+    const QUERIES: u64 = 8;
+    let path = tmpdir("framed-keepalive").join("index.cellserv");
+    write_atomic_bytes(&path, &artifact(64500, AsClass::Dedicated, false)).expect("write artifact");
+    let daemon = Daemon::start(config(), &path, Observer::enabled()).expect("daemon starts");
+    let tcp = daemon.tcp_addr().expect("tcp listener");
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = FramedClient::connect(tcp).expect("connect");
+                for f in 0..FRAMES {
+                    let frame: Vec<IpKey> = (0..QUERIES)
+                        .map(|q| {
+                            IpKey::V4(0x0A00_0000 + (c * FRAMES * QUERIES + f * QUERIES + q) as u32)
+                        })
+                        .collect();
+                    let answers = client.lookup(&frame).expect("framed lookup");
+                    assert!(answers.iter().all(Option::is_some), "10/8 serves them all");
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+
+    let snap = daemon.shutdown();
+    assert_eq!(snap.counters["served.tcp.connections"], CLIENTS);
+    assert_eq!(snap.counters["served.tcp.requests"], CLIENTS * FRAMES);
+    assert_eq!(
+        snap.counters["served.tcp.keepalive.reuses"],
+        CLIENTS * (FRAMES - 1),
+        "every frame after a connection's first reuses it"
+    );
+    assert_eq!(
+        snap.counters["served.tcp.queries"],
+        CLIENTS * FRAMES * QUERIES
+    );
+    assert_eq!(snap.counters["serve.lookups"], CLIENTS * FRAMES * QUERIES);
+}
+
 #[test]
 fn reload_swaps_generations_without_dropping_traffic() {
     let path = tmpdir("reload").join("index.cellserv");

@@ -51,7 +51,7 @@ mod pipeline;
 mod stats;
 mod sweep;
 mod temporal;
-mod timing;
+mod threads;
 mod world_view;
 
 pub use ablation::{
@@ -75,9 +75,8 @@ pub use pipeline::{Pipeline, PipelineReport, Study, StudyConfig};
 pub use stats::{count_for_share, gini, top_k_share, Ecdf};
 pub use sweep::{threshold_sweep, SweepCurve, SweepPoint};
 pub use temporal::{MonthTransition, TemporalAnalysis};
-pub use timing::{
-    configure_thread_pool, configure_thread_pool_with, configure_threads, resolve_threads,
-    resolve_threads_with, StageTiming, ThreadsChoice, TimingReport, THREADS_ENV,
+pub use threads::{
+    configure_threads, resolve_threads, resolve_threads_with, ThreadsChoice, THREADS_ENV,
 };
 pub use world_view::{
     continent_rows, v6_deployment, ContinentDemand, ContinentSubnets, CountryDemand, V6Deployment,
@@ -90,6 +89,6 @@ pub use world_view::{
 pub mod prelude {
     pub use crate::error::CellspotError;
     pub use crate::pipeline::{Pipeline, PipelineReport, Study, StudyConfig};
-    pub use crate::timing::{resolve_threads, ThreadsChoice, TimingReport, THREADS_ENV};
+    pub use crate::threads::{resolve_threads, ThreadsChoice, THREADS_ENV};
     pub use cellobs::{ExportFormat, ObsSnapshot, Observer};
 }

@@ -3,8 +3,6 @@
 //! of the paper's methodology, and reports spans/metrics for each stage
 //! into an attached [`cellobs::Observer`].
 
-use std::time::Instant;
-
 use asdb::{AsDatabase, CarrierGroundTruth};
 use cellobs::Observer;
 use serde::{Deserialize, Serialize};
@@ -23,7 +21,7 @@ use crate::index::BlockIndex;
 use crate::metrics::{validate_carrier, CarrierValidation};
 use crate::mixed::{MixedAnalysis, DEDICATED_CFD};
 use crate::sweep::{threshold_sweep, SweepCurve};
-use crate::timing::{configure_threads, resolve_threads, TimingReport};
+use crate::threads::{configure_threads, resolve_threads};
 use crate::world_view::WorldView;
 
 /// Knobs for a full study run (defaults are the paper's choices).
@@ -126,11 +124,6 @@ pub struct Study {
     pub dns: Option<DnsAnalysis>,
     /// §7's geographic rollups (Tables 4/8, Figs. 11/12).
     pub view: WorldView,
-    /// Per-stage wall-clock timings for this run. Excluded from
-    /// serialization: timings vary run to run, while the serialized study
-    /// must stay byte-identical across runs and thread counts.
-    #[serde(skip)]
-    pub timing: TimingReport,
 }
 
 /// JSON maps require string keys, so the per-AS aggregate map serializes
@@ -284,16 +277,13 @@ impl<'a> Pipeline<'a> {
         self.config.validate()?;
         configure_threads(resolve_threads(self.threads));
         let obs = &self.observer;
-        let mut timing = TimingReport::new();
         let index = stage(
-            &mut timing,
             obs,
             "join",
             |i: &Result<BlockIndex, CellspotError>| i.as_ref().map_or(0, |i| i.len() as u64),
             || BlockIndex::try_build(self.beacons, self.demand),
         )?;
         let classification = stage(
-            &mut timing,
             obs,
             "classify",
             |c: &Classification| c.len() as u64,
@@ -346,30 +336,16 @@ impl PipelineReport {
     pub fn global_cellular_pct(&self) -> f64 {
         self.study.view.global_cellular_pct()
     }
-
-    /// Per-stage wall-clock timings.
-    pub fn timing(&self) -> &TimingReport {
-        &self.study.timing
-    }
 }
 
-/// Run `f` as one pipeline stage: wall-clock into `timing`, a span plus
-/// a `pipeline.<name>.items` counter into the observer.
-fn stage<T>(
-    timing: &mut TimingReport,
-    obs: &Observer,
-    name: &str,
-    items: impl FnOnce(&T) -> u64,
-    f: impl FnOnce() -> T,
-) -> T {
+/// Run `f` as one pipeline stage: a span plus a `pipeline.<name>.items`
+/// counter into the observer.
+fn stage<T>(obs: &Observer, name: &str, items: impl FnOnce(&T) -> u64, f: impl FnOnce() -> T) -> T {
     let mut span = obs.span(name);
-    let start = Instant::now();
     let out = f();
-    let millis = start.elapsed().as_secs_f64() * 1e3;
     let n = items(&out);
     span.set_items(n);
     drop(span);
-    timing.push(name, millis, n);
     obs.counter(&format!("pipeline.{name}.items")).add(n);
     out
 }
@@ -401,11 +377,9 @@ pub(crate) fn run_study_observed(
     obs: &Observer,
 ) -> Result<Study, CellspotError> {
     use rayon::prelude::*;
-    let mut timing = TimingReport::new();
     let mut root = obs.span("study");
 
     let index = stage(
-        &mut timing,
         obs,
         "join",
         |i: &Result<BlockIndex, CellspotError>| i.as_ref().map_or(0, |i| i.len() as u64),
@@ -413,7 +387,6 @@ pub(crate) fn run_study_observed(
     )?;
     root.set_items(index.len() as u64);
     let classification = stage(
-        &mut timing,
         obs,
         "classify",
         |c: &Classification| c.len() as u64,
@@ -421,7 +394,6 @@ pub(crate) fn run_study_observed(
     );
     record_classify_detail(obs, &index, &classification);
     let ratio_distributions = stage(
-        &mut timing,
         obs,
         "ratio_distributions",
         |_: &RatioDistributions| index.len() as u64,
@@ -429,7 +401,6 @@ pub(crate) fn run_study_observed(
     );
 
     let validations = stage(
-        &mut timing,
         obs,
         "validate",
         |v: &Vec<CarrierValidation>| v.len() as u64,
@@ -441,7 +412,6 @@ pub(crate) fn run_study_observed(
         },
     );
     let sweeps = stage(
-        &mut timing,
         obs,
         "sweep",
         |s: &Vec<SweepCurve>| s.iter().map(|c| c.points.len() as u64).sum(),
@@ -454,14 +424,12 @@ pub(crate) fn run_study_observed(
     );
 
     let as_aggregates = stage(
-        &mut timing,
         obs,
         "aggregate_by_as",
         |m: &std::collections::HashMap<netaddr::Asn, AsAggregate>| m.len() as u64,
         || aggregate_by_as(&index, &classification),
     );
     let filter = stage(
-        &mut timing,
         obs,
         "as_filter",
         |f: &AsFilterOutcome| f.candidates.len() as u64,
@@ -479,7 +447,6 @@ pub(crate) fn run_study_observed(
     obs.counter("pipeline.as_filter.cellular_ases")
         .add(filter.cellular_ases.len() as u64);
     let mixed = stage(
-        &mut timing,
         obs,
         "mixed",
         |m: &MixedAnalysis| m.verdicts.len() as u64,
@@ -492,21 +459,18 @@ pub(crate) fn run_study_observed(
             .add(n_dedicated as u64);
     }
     let ranking = stage(
-        &mut timing,
         obs,
         "ranking",
         |r: &AsDemandRanking| r.rows.len() as u64,
         || AsDemandRanking::build(&mixed, as_db),
     );
     let dns_analysis = stage(
-        &mut timing,
         obs,
         "dns",
         |d: &Option<DnsAnalysis>| u64::from(d.is_some()),
         || dns.map(|d| DnsAnalysis::build(d, &index, &classification)),
     );
     let view = stage(
-        &mut timing,
         obs,
         "world_view",
         |_: &WorldView| index.len() as u64,
@@ -527,7 +491,6 @@ pub(crate) fn run_study_observed(
         ranking,
         dns: dns_analysis,
         view,
-        timing,
     })
 }
 
@@ -750,7 +713,5 @@ mod tests {
             snap.counters["pipeline.classify.items"],
             report.classification.len() as u64
         );
-        // Timing report mirrors the spans.
-        assert_eq!(report.timing().stages.len(), 11);
     }
 }

@@ -64,6 +64,9 @@ fn main() {
         usage("missing command");
     };
     let rest = &args[1..];
+    if let Err(e) = check_flags(cmd, rest) {
+        usage(&e);
+    }
     let result = match cmd.as_str() {
         "synth" => synth(rest),
         "stream" => stream(rest),
@@ -88,6 +91,87 @@ fn main() {
 }
 
 type CmdResult = Result<(), CliError>;
+
+/// What each subcommand accepts besides `--threads N`, which all of
+/// them take: (command, flags that take a value, bare switches), each
+/// list space-separated. `flag_value` only looks for names it knows, so
+/// this table is what turns a misspelt or retired flag into a usage
+/// error instead of a run on defaults.
+const ACCEPTED_FLAGS: &[(&str, &str, &str)] = &[
+    ("synth", "--scale --seed --out", ""),
+    (
+        "stream",
+        "--scale --seed --epochs --shards --checkpoint --retain --stop-after-epoch \
+         --fault-plan --threshold --out --emit-deltas --metrics --metrics-format",
+        "--resume",
+    ),
+    (
+        "classify",
+        "--beacons --demand --threshold --out --metrics --metrics-format",
+        "",
+    ),
+    (
+        "identify-as",
+        "--beacons --demand --asdb --min-du --min-hits --out",
+        "",
+    ),
+    ("validate", "--beacons --demand --ground-truth", "--sweep"),
+    ("stats", "--beacons --demand --asdb", ""),
+    (
+        "index build",
+        "--beacons --demand --threshold --out --metrics --metrics-format",
+        "",
+    ),
+    ("index migrate", "--in --to --out", ""),
+    (
+        "delta build",
+        "--base --beacons --demand --threshold --base-epoch --epoch --out \
+         --metrics --metrics-format",
+        "",
+    ),
+    ("delta apply", "--base --delta --out", ""),
+    (
+        "lookup",
+        "--index --ips --out --metrics --metrics-format",
+        "",
+    ),
+    (
+        "serve",
+        "--index --listen --tcp --workers --queue-depth --max-linger-us --reload-poll-ms \
+         --delta-watch --shutdown-after-ms --max-conns --io-timeout-ms \
+         --max-requests-per-conn --drain-timeout-ms --metrics --metrics-format",
+        "--reload-watch",
+    ),
+    (
+        "replay",
+        "--preset --seed --queries --epochs --scale --threshold --mode --clients --frame \
+         --workers --trace-out --trace-in --out --metrics --metrics-format",
+        "",
+    ),
+];
+
+/// Reject any argument the subcommand does not accept (see
+/// [`ACCEPTED_FLAGS`]). An unknown command or `index`/`delta`
+/// subcommand passes through: dispatch names it.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let (name, flags) = match (cmd, args.split_first()) {
+        ("index" | "delta", Some((sub, flags))) => (format!("{cmd} {sub}"), flags),
+        _ => (cmd.to_string(), args),
+    };
+    let Some((_, values, switches)) = ACCEPTED_FLAGS.iter().find(|(n, ..)| *n == name) else {
+        return Ok(());
+    };
+    let listed = |list: &str, flag: &str| list.split_whitespace().any(|f| f == flag);
+    let mut it = flags.iter().map(String::as_str);
+    while let Some(flag) = it.next() {
+        if flag == "--threads" || listed(values, flag) {
+            it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        } else if !listed(switches, flag) {
+            return Err(format!("unknown flag {flag:?} for `cellspot {name}`"));
+        }
+    }
+    Ok(())
+}
 
 /// Pull the value following a `--flag`, if present.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -1213,13 +1297,14 @@ fn usage(err: &str) -> ! {
                        [--drain-timeout-ms N]   (0 disables the respective limit)\n\
            replay      --preset steady|diurnal|flashcrowd|scan|churn [--seed N]\n\
                        [--queries N] [--epochs E] [--scale mini|demo|paper]\n\
-                       [--mode engine|tcp|http] [--clients N] [--frame N] [--workers N]\n\
-                       [--trace-out FILE] [--trace-in FILE] [--out BENCH_replay.json]\n\
+                       [--threshold T] [--mode engine|tcp|http] [--clients N] [--frame N]\n\
+                       [--workers N] [--trace-out FILE] [--trace-in FILE]\n\
+                       [--out BENCH_replay.json]\n\
          \n\
          global flags:\n\
            --threads N                 pin the rayon pool (flag > CELLSPOT_THREADS > auto)\n\
            --metrics FILE              export observability metrics (classify, stream,\n\
-                                       index build, delta build, lookup)\n\
+                                       index build, delta build, lookup, serve, replay)\n\
            --metrics-format json|prometheus   export format (default json)\n\
          \n\
          exit codes: 2 usage, 3 I/O, 4 bad data, 5 pipeline, 6 streaming\n\

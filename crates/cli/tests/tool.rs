@@ -1159,6 +1159,16 @@ fn replay_is_thread_invariant_and_mode_agnostic() {
     );
     assert!(one["replay"]["answer_digest"].is_string());
     assert!(one["replay"]["lookups_per_sec"].as_f64().expect("rate") > 0.0);
+    // Every lookup lands in exactly one cache-accounting bucket, and
+    // the trace drew from a non-empty prefix universe.
+    let count = |v: &serde_json::Value| v.as_u64().expect("count");
+    let cache = &one["replay"]["cache"];
+    assert_eq!(
+        count(&cache["hits"]) + count(&cache["misses"]) + count(&cache["uncached"]),
+        6000
+    );
+    let universe = &one["workload"]["universe"];
+    assert!(count(&universe["v4_blocks"]) + count(&universe["v6_blocks"]) > 0);
 
     // Same trace, same answers — across two live hot-patches.
     assert_eq!(
@@ -1251,6 +1261,88 @@ fn replay_traces_reload_verbatim_and_reject_corruption() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `flag_value` only scans for names it knows, so before the
+/// per-subcommand table a misspelt or retired flag ran on defaults
+/// (`--thresold 0.9` classified at 0.5; `index build --format v1` wrote
+/// a v2 file). Both are usage errors now, and every flag the usage text
+/// lists for a subcommand still parses there.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let assert_rejects = |line: &str, flag: &str| {
+        let out = run(&line.split_whitespace().collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag:?}")),
+            "`{line}` must name {flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "`{line}` must not run");
+    };
+    assert_rejects(
+        "classify --beacons b.csv --demand d.csv --thresold 0.9",
+        "--thresold",
+    );
+    assert_rejects(
+        "index build --beacons b.csv --demand d.csv --format v1 --out x.idx",
+        "--format",
+    );
+
+    // Every flag of every command line in the usage text, probed as
+    // `<command> <flag> [value] --no-such-flag --nor-this`: the check
+    // runs left to right, so the error names `--no-such-flag` exactly
+    // when the listed flag parsed as the usage text shows it (a value
+    // flag taken for a switch would name its value, a switch taken for
+    // a value flag would swallow the marker and name `--nor-this`).
+    let help = run(&["--help"]);
+    let help = String::from_utf8_lossy(&help.stderr).into_owned();
+    let commands = help
+        .split("commands:")
+        .nth(1)
+        .and_then(|rest| rest.split("global flags:").next())
+        .expect("usage text has a commands section");
+    let mut probed = 0;
+    let mut probe = |command: &str, flag: &str, takes_value: bool| {
+        let value = if takes_value { "x" } else { "" };
+        assert_rejects(
+            &format!("{command} {flag} {value} --no-such-flag --nor-this"),
+            "--no-such-flag",
+        );
+        probed += 1;
+    };
+    let is_flag = |w: &str| w.starts_with("--") || w.starts_with("[--");
+    let mut command = String::new();
+    for line in commands.lines() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        if words
+            .first()
+            .is_some_and(|w| w.starts_with(char::is_alphabetic))
+        {
+            let name: Vec<&str> = words.iter().copied().take_while(|w| !is_flag(w)).collect();
+            command = name.join(" ");
+            probe(&command, "--threads", true);
+            // The subcommands the usage text's `--metrics` line names.
+            if matches!(
+                command.as_str(),
+                "classify"
+                    | "stream"
+                    | "index build"
+                    | "delta build"
+                    | "lookup"
+                    | "serve"
+                    | "replay"
+            ) {
+                probe(&command, "--metrics", true);
+                probe(&command, "--metrics-format", true);
+            }
+        }
+        for w in words.iter().filter(|w| is_flag(w)) {
+            let flag = w.trim_start_matches('[').trim_end_matches(']');
+            probe(&command, flag, !w.ends_with(']'));
+        }
+    }
+    assert!(probed > 100, "usage text parsed: {probed} flags probed");
 }
 
 #[test]

@@ -124,7 +124,12 @@ impl Pipeline {
         cellspot::configure_threads(cellspot::resolve_threads(self.threads));
         let world = worldgen::World::generate_with(self.config, &obs);
         let (beacons, demand) = cdnsim::generate_datasets_observed(&world, &obs);
-        let dns = self.with_dns.then(|| dnssim::generate_dns(&world));
+        let dns = self.with_dns.then(|| {
+            let mut span = obs.span("dns");
+            let dns = dnssim::generate_dns(&world);
+            span.set_items(dns.resolvers.len() as u64);
+            dns
+        });
         let study_config = self.study_config.unwrap_or_else(|| {
             StudyConfig::default().with_min_hits(world.config.scaled_min_beacon_hits())
         });
@@ -161,4 +166,34 @@ pub struct PipelineReport {
     pub dns: Option<dnssim::DnsSim>,
     /// The full study output.
     pub study: Study,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The facade reports every top-level stage as one span with a
+    /// workload count — what `repro --metrics` exports as the stage
+    /// clock.
+    #[test]
+    fn facade_spans_every_top_level_stage() {
+        let obs = Observer::enabled();
+        let report = Pipeline::new(WorldConfig::mini())
+            .observer(obs.clone())
+            .run()
+            .expect("default config is valid");
+        assert!(report.study.classification.len() > 100);
+        assert!(report.dns.is_some());
+        let snap = obs.snapshot();
+        let top: Vec<&str> = snap
+            .spans
+            .iter()
+            .filter(|s| s.depth == 0)
+            .map(|s| {
+                assert!(s.items > 0, "span {} carries no item count", s.path);
+                s.path.as_str()
+            })
+            .collect();
+        assert_eq!(top, ["worldgen", "datasets", "dns", "study"]);
+    }
 }
