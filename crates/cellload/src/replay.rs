@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use cellobs::Observer;
 use cellseal::Fnv64;
-use cellserve::{IpKey, LookupMatch, MatchedPrefix, QueryEngine};
+use cellserve::{BatchStats, IpKey, LookupMatch, MatchedPrefix, QueryEngine};
 use cellserved::{ClientPolicy, FramedClient, ServedError, WireAnswer};
 
 use crate::trace::Trace;
@@ -221,46 +221,41 @@ where
 {
     let mut segments = Vec::with_capacity(trace.segments.len());
     let mut total = AnswerDigest::new();
-    let mut outcome = ReplayOutcome {
-        mode: "engine",
-        wall_secs: 0.0,
-        lookups: 0,
-        matched: 0,
-        dropped: 0,
-        answer_digest: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        uncached: 0,
-        segments: Vec::new(),
-    };
+    let mut totals = BatchStats::default();
+    let mut wall_secs = 0.0;
     for seg in &trace.segments {
         let index = index_for(seg.epoch);
         let engine = QueryEngine::new(&index).with_observer(obs.clone());
         let t0 = Instant::now();
         let (answers, stats) = engine.run(&seg.queries);
-        outcome.wall_secs += t0.elapsed().as_secs_f64();
+        wall_secs += t0.elapsed().as_secs_f64();
         let mut digest = AnswerDigest::new();
         for a in &answers {
             let n = normalize_engine(a);
             digest.push(n);
             total.push(n);
         }
-        outcome.lookups += stats.lookups;
-        outcome.matched += stats.matched;
-        outcome.cache_hits += stats.cache_hits;
-        outcome.cache_misses += stats.cache_misses;
-        outcome.uncached += stats.uncached;
+        totals += stats;
         segments.push(SegmentOutcome {
             epoch: seg.epoch,
             lookups: stats.lookups,
             matched: stats.matched,
-            dropped: (seg.queries.len() - answers.len()) as u64,
+            dropped: 0,
             answer_digest: digest.value(),
         });
     }
-    outcome.answer_digest = total.value();
-    outcome.segments = segments;
-    outcome
+    ReplayOutcome {
+        mode: "engine",
+        wall_secs,
+        lookups: totals.lookups,
+        matched: totals.matched,
+        dropped: 0,
+        answer_digest: total.value(),
+        cache_hits: totals.cache_hits,
+        cache_misses: totals.cache_misses,
+        uncached: totals.uncached,
+        segments,
+    }
 }
 
 /// One closed-loop worker's transport: issue one frame, get normalized

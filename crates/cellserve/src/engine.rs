@@ -5,9 +5,11 @@
 //!
 //! The batch is split into fixed-size chunks ([`QUERY_CHUNK`]) that
 //! rayon distributes over worker threads; every chunk starts with a
-//! *fresh* direct-mapped hot-block cache. Because chunk boundaries
-//! depend only on the query list — never on the thread count — the
-//! result vector and every counter ([`BatchStats`], and the
+//! *fresh* direct-mapped hot-block cache and owns a window of the one
+//! result vector, which it writes once; a batch that fits one chunk
+//! runs on the calling thread and never enters the pool. Because chunk
+//! boundaries depend only on the query list — never on the thread
+//! count — the result vector and every counter ([`BatchStats`], and the
 //! `serve.lookups` / `serve.matched` / `serve.cache.hits` /
 //! `serve.cache.misses` / `serve.cache.uncached` observer counters) are
 //! identical at any pool width. Only the `serve.lookup.ns` latency
@@ -22,7 +24,9 @@
 //! are equal under every shorter served mask too, so caching the full
 //! longest-prefix-match result under it is sound.
 
+use std::mem::MaybeUninit;
 use std::str::FromStr;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use cellobs::Observer;
@@ -106,6 +110,8 @@ pub struct LookupMatch {
     pub label: ServeLabel,
 }
 
+const _: () = assert!(std::mem::size_of::<Option<LookupMatch>>() <= 64); // bytes per answer
+
 /// Deterministic batch counters (see the module docs for the
 /// contract). `cache_hits + cache_misses + uncached == lookups` always
 /// holds: every lookup either consulted a chunk cache (hit or miss) or
@@ -127,8 +133,8 @@ pub struct BatchStats {
     pub uncached: u64,
 }
 
-impl BatchStats {
-    fn absorb(&mut self, other: BatchStats) {
+impl std::ops::AddAssign for BatchStats {
+    fn add_assign(&mut self, other: BatchStats) {
         self.lookups += other.lookups;
         self.matched += other.matched;
         self.cache_hits += other.cache_hits;
@@ -180,19 +186,29 @@ impl<'a, V: IndexView + ?Sized> QueryEngine<'a, V> {
     }
 
     /// Run a batch: results in query order, plus the deterministic
-    /// counters. Chunks run on the current rayon pool — wrap the call
-    /// in [`rayon::ThreadPool::install`] to pin the width.
+    /// counters. More than one chunk runs on the current rayon pool —
+    /// wrap the call in [`rayon::ThreadPool::install`] to pin the width.
     pub fn run(&self, queries: &[IpKey]) -> (Vec<Option<LookupMatch>>, BatchStats) {
-        let chunks: Vec<(Vec<Option<LookupMatch>>, BatchStats)> = queries
-            .par_chunks(QUERY_CHUNK)
-            .map(|chunk| self.run_chunk(chunk))
-            .collect();
-        let mut results = Vec::with_capacity(queries.len());
+        let n = queries.len();
+        let mut results = Vec::with_capacity(n);
+        let out = &mut results.spare_capacity_mut()[..n];
         let mut stats = BatchStats::default();
-        for (r, s) in chunks {
-            results.extend(r);
-            stats.absorb(s);
+        if n <= QUERY_CHUNK {
+            stats = self.run_chunk(queries, out);
+        } else {
+            // Window `c` has one writer, chunk `c`: no lock is ever contended.
+            let windows: Vec<_> = out.chunks_mut(QUERY_CHUNK).map(Mutex::new).collect();
+            let per_chunk: Vec<BatchStats> = queries
+                .par_chunks(QUERY_CHUNK)
+                .enumerate()
+                .map(|(c, q)| self.run_chunk(q, &mut windows[c].lock().expect("locked once")))
+                .collect();
+            per_chunk.into_iter().for_each(|s| stats += s);
         }
+        // SAFETY: windows tile `results[..n]` as chunks tile `queries`, and
+        // every chunk writes every slot of its window (`run_chunk` asserts
+        // the lengths equal) before returning: all `n` slots are initialised.
+        unsafe { results.set_len(n) };
         self.obs.counter("serve.lookups").add(stats.lookups);
         self.obs.counter("serve.matched").add(stats.matched);
         self.obs.counter("serve.cache.hits").add(stats.cache_hits);
@@ -203,7 +219,12 @@ impl<'a, V: IndexView + ?Sized> QueryEngine<'a, V> {
         (results, stats)
     }
 
-    fn run_chunk(&self, chunk: &[IpKey]) -> (Vec<Option<LookupMatch>>, BatchStats) {
+    fn run_chunk(
+        &self,
+        chunk: &[IpKey],
+        out: &mut [MaybeUninit<Option<LookupMatch>>],
+    ) -> BatchStats {
+        assert_eq!(chunk.len(), out.len(), "a window is as long as its chunk");
         // Per-lookup latency sampling: one histogram sample per lookup,
         // so percentiles describe lookups, not chunk means. The clock is
         // only read when an observer is attached, keeping the
@@ -215,10 +236,9 @@ impl<'a, V: IndexView + ?Sized> QueryEngine<'a, V> {
         let top_v4 = self.index.longest_len_v4();
         let top_v6 = self.index.longest_len_v6();
         let mut stats = BatchStats::default();
-        let mut v4_cache: Vec<CacheSlot<u32>> = vec![None; CACHE_SLOTS];
-        let mut v6_cache: Vec<CacheSlot<u128>> = vec![None; CACHE_SLOTS];
-        let mut out = Vec::with_capacity(chunk.len());
-        for (i, &ip) in chunk.iter().enumerate() {
+        let mut v4_cache: [CacheSlot<u32>; CACHE_SLOTS] = [None; CACHE_SLOTS];
+        let mut v6_cache: [CacheSlot<u128>; CACHE_SLOTS] = [None; CACHE_SLOTS];
+        for (i, (&ip, slot)) in chunk.iter().zip(out).enumerate() {
             // Overlap the next query's first probe with this lookup:
             // zero-copy views issue software prefetches, owned views
             // no-op.
@@ -261,9 +281,9 @@ impl<'a, V: IndexView + ?Sized> QueryEngine<'a, V> {
                 latency.record(t0.elapsed().as_nanos() as u64);
             }
             stats.matched += hit.is_some() as u64;
-            out.push(hit);
+            slot.write(hit);
         }
-        (out, stats)
+        stats
     }
 }
 
@@ -338,26 +358,69 @@ mod tests {
         }
     }
 
+    /// Both families, served and unserved space, repeats within a chunk.
+    fn mixed_queries(n: usize) -> Vec<IpKey> {
+        (0..n as u32)
+            .map(|i| match i % 7 {
+                0 => IpKey::V6(0x2001_0db8_0000_0000_0000_0000_0000_0000 + i as u128),
+                1 | 2 => IpKey::V4(0x0A00_0000 + (i % 50) * 0x1001),
+                _ => IpKey::V4(i.wrapping_mul(0x9E37_79B9)),
+            })
+            .collect()
+    }
+
+    /// Every batch length around the window boundaries, at every pool
+    /// width: each chunk's window of the result vector holds exactly its
+    /// own answers, and nothing depends on the width.
     #[test]
     fn batch_equals_per_item_lookups() {
         let index = engine_index();
-        let engine = QueryEngine::new(&index);
-        let queries: Vec<IpKey> = (0..3000u32)
-            .map(|i| IpKey::V4(0x0A000000 + i * 0x1001))
-            .chain((0..64).map(|i| IpKey::V6(0x2001_0db8_0000_0000_0000_0000_0000_0000 + i)))
-            .collect();
-        let (results, stats) = engine.run(&queries);
-        assert_eq!(results.len(), queries.len());
-        for (q, r) in queries.iter().zip(&results) {
-            assert_eq!(*r, engine.lookup(*q), "batch diverges on {q}");
+        for n in [
+            0,
+            1,
+            QUERY_CHUNK - 1,
+            QUERY_CHUNK,
+            QUERY_CHUNK + 1,
+            3 * QUERY_CHUNK + 17,
+        ] {
+            let queries = mixed_queries(n);
+            let mut at_width_1 = None;
+            for threads in [1usize, 2, 4] {
+                let obs = Observer::enabled();
+                let engine = QueryEngine::new(&index).with_observer(obs.clone());
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("build rayon pool");
+                let (results, stats) = pool.install(|| engine.run(&queries));
+                assert_eq!(results.len(), n);
+                for (q, r) in queries.iter().zip(&results) {
+                    assert_eq!(*r, engine.lookup(*q), "batch of {n} diverges on {q}");
+                }
+                assert_eq!(stats.lookups, n as u64);
+                assert_eq!(
+                    stats.cache_hits + stats.cache_misses + stats.uncached,
+                    stats.lookups
+                );
+                assert_eq!(stats.uncached, 0, "both families serve prefixes here");
+                assert_eq!(
+                    *at_width_1.get_or_insert(stats),
+                    stats,
+                    "counters of a {n}-query batch moved at {threads} thread(s)"
+                );
+                let samples = obs
+                    .snapshot()
+                    .histograms
+                    .get("serve.lookup.ns")
+                    .map_or(0, |h| h.count);
+                assert_eq!(samples, stats.lookups, "one latency sample per lookup");
+            }
+            let stats = at_width_1.expect("width 1 ran");
+            if n > 1 {
+                assert!(0 < stats.matched && stats.matched < stats.lookups);
+                assert!(stats.cache_hits > 0, "the 10/8 addresses repeat");
+            }
         }
-        assert_eq!(stats.lookups, queries.len() as u64);
-        assert_eq!(
-            stats.cache_hits + stats.cache_misses + stats.uncached,
-            stats.lookups
-        );
-        assert_eq!(stats.uncached, 0, "both families serve prefixes here");
-        assert!(stats.matched > 0);
     }
 
     #[test]
@@ -403,15 +466,7 @@ mod tests {
     fn latency_histogram_has_one_sample_per_lookup() {
         let index = engine_index();
         // Span several chunks, mix hits/misses and both families.
-        let queries: Vec<IpKey> = (0..(3 * QUERY_CHUNK as u32 + 17))
-            .map(|i| {
-                if i % 7 == 0 {
-                    IpKey::V6(0x2001_0db8_0000_0000_0000_0000_0000_0000 + i as u128)
-                } else {
-                    IpKey::V4(i.wrapping_mul(0x9E37_79B9))
-                }
-            })
-            .collect();
+        let queries = mixed_queries(3 * QUERY_CHUNK + 17);
         for threads in [1usize, 4] {
             let obs = Observer::enabled();
             let engine = QueryEngine::new(&index).with_observer(obs.clone());

@@ -5,7 +5,9 @@
 use asdb::{AsDatabase, CarrierGroundTruth};
 use cdnsim::{BeaconDataset, DemandDataset};
 use celldelta::{Delta, DeltaError, EpochCounters};
-use cellserve::{Artifact, ArtifactFormat, IndexView, IpKey, QueryEngine, ServeError};
+use cellserve::{
+    Artifact, ArtifactFormat, BatchStats, IndexView, IpKey, QueryEngine, ServeError, QUERY_CHUNK,
+};
 use cellspot::{
     aggregate_by_as, identify_cellular_ases, threshold_sweep, validate_carrier, BlockIndex,
     CellspotError, Classification, FilterConfig, MixedAnalysis, Pipeline, WorldView, DEDICATED_CFD,
@@ -223,15 +225,23 @@ pub fn delta_apply(base_bytes: &[u8], delta_bytes: &[u8]) -> Result<(Vec<u8>, St
     Ok((patched, summary))
 }
 
+/// Queries `lookup` answers per engine run (64 B of answer each). A
+/// multiple of [`QUERY_CHUNK`], so the engine's chunk boundaries — and
+/// with them every cache reset and counter — fall where one run over
+/// the whole list would put them.
+const LOOKUP_WINDOW: usize = 64 * QUERY_CHUNK;
+
 /// `lookup`: answer a batch of IPs against a loaded artifact — in
 /// practice a [`cellserve::ArtifactHandle`] straight off an mmap.
 ///
 /// Streams the result CSV (`ip,prefix,asn,class`, with `-` columns for
-/// misses, one row per query in input order) straight to `out` — the
-/// batch is never materialized as one string, so output size is bounded
-/// by the writer, not by memory. Returns the stderr summary line with
-/// the match rate and cache counters; an empty batch says so instead of
-/// reporting a fake 0% match rate.
+/// misses, one row per query in input order) straight to `out`: the
+/// engine runs over `LOOKUP_WINDOW` queries at a time and each
+/// window's rows are written before the next window is answered, so
+/// neither the answers nor the output are ever held whole — output size
+/// is bounded by the writer, not by memory. Returns the stderr summary
+/// line with the match rate and cache counters; an empty batch says so
+/// instead of reporting a fake 0% match rate.
 pub fn lookup_batch<V: IndexView + ?Sized>(
     index: &V,
     queries: &[IpKey],
@@ -239,18 +249,25 @@ pub fn lookup_batch<V: IndexView + ?Sized>(
     out: &mut dyn std::io::Write,
 ) -> std::io::Result<String> {
     let engine = QueryEngine::new(index).with_observer(obs.clone());
-    let (results, stats) = engine.run(queries);
+    let mut stats = BatchStats::default();
     out.write_all(b"ip,prefix,asn,class\n")?;
-    for (ip, res) in queries.iter().zip(&results) {
-        match res {
-            Some(m) => writeln!(
-                out,
-                "{ip},{},{},{}",
-                m.prefix,
-                m.label.asn.value(),
-                m.label.class
-            )?,
-            None => writeln!(out, "{ip},-,-,-")?,
+    // An empty list is still one (empty) run: the metrics export names
+    // the `serve.*` counters whether or not anything was asked.
+    let windows = queries.chunks(LOOKUP_WINDOW);
+    for window in windows.chain(queries.is_empty().then_some(queries)) {
+        let (results, window_stats) = engine.run(window);
+        stats += window_stats;
+        for (ip, res) in window.iter().zip(&results) {
+            match res {
+                Some(m) => writeln!(
+                    out,
+                    "{ip},{},{},{}",
+                    m.prefix,
+                    m.label.asn.value(),
+                    m.label.class
+                )?,
+                None => writeln!(out, "{ip},-,-,-")?,
+            }
         }
     }
     out.flush()?;
@@ -593,7 +610,7 @@ mod tests {
     #[test]
     fn lookup_batch_with_no_queries_says_so() {
         let (_, b, d) = setup();
-        let obs = cellobs::Observer::disabled();
+        let obs = cellobs::Observer::enabled();
         let (bytes, _) = index_build(&b, &d, None, &obs).expect("consistent datasets");
         let frozen = Artifact::from_bytes(&bytes).expect("artifact loads");
         let mut sink = Vec::new();
@@ -603,6 +620,7 @@ mod tests {
             String::from_utf8(sink).expect("utf-8"),
             "ip,prefix,asn,class\n"
         );
+        assert_eq!(obs.snapshot().counters.get("serve.lookups"), Some(&0));
     }
 
     #[test]

@@ -460,6 +460,129 @@ fn index_build_and_lookup_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `lookup` answers a long list a window of queries at a time, and the
+/// windowing is invisible: for a list longer than one window (64 engine
+/// chunks) the CSV, the summary line and the exported counters are
+/// those of a single `QueryEngine::run` over the whole list — which
+/// holds only if every window boundary is also a chunk boundary.
+#[test]
+fn lookup_over_a_long_list_equals_one_engine_run() {
+    use cellserve::{IndexView, IpKey, QueryEngine, QUERY_CHUNK};
+
+    let dir = tmpdir("long_lookup");
+    let data = dir.join("data");
+    assert!(run(&[
+        "synth",
+        "--scale",
+        "mini",
+        "--out",
+        data.to_str().expect("utf8")
+    ])
+    .status
+    .success());
+    let artifact = dir.join("cells.idx");
+    let art_s = artifact.to_str().expect("utf8");
+    assert!(run(&[
+        "index",
+        "build",
+        "--beacons",
+        data.join("beacons.csv").to_str().expect("utf8"),
+        "--demand",
+        data.join("demand.csv").to_str().expect("utf8"),
+        "--out",
+        art_s,
+    ])
+    .status
+    .success());
+
+    // A cycle of served blocks spread over the index, shorter than a
+    // chunk: every chunk pays the cycle's cold misses once, so a chunk
+    // boundary that moves shows in the cache counters. Unserved
+    // TEST-NET-1 addresses in between; one window plus a ragged tail.
+    let index = cellserve::Artifact::open(&artifact).expect("artifact opens");
+    let mut served = Vec::new();
+    index.for_each_v4(&mut |net, _| served.push(IpKey::V4(net.addr())));
+    index.for_each_v6(&mut |net, _| served.push(IpKey::V6(net.addr())));
+    let cycle: Vec<IpKey> = served
+        .iter()
+        .step_by((served.len() / 300).max(1))
+        .copied()
+        .take(300)
+        .collect();
+    let queries: Vec<IpKey> = (0..64 * QUERY_CHUNK + 2 * QUERY_CHUNK + 17)
+        .map(|i| match i % 11 {
+            10 => IpKey::V4(0xC000_0200 + (i % 256) as u32),
+            _ => cycle[i % cycle.len()],
+        })
+        .collect();
+    let ips = dir.join("ips.txt");
+    let list: String = queries.iter().map(|ip| format!("{ip}\n")).collect();
+    std::fs::write(&ips, list).expect("write");
+
+    let (answers, stats) = QueryEngine::new(&index).run(&queries);
+    let mut want_csv = String::from("ip,prefix,asn,class\n");
+    for (ip, answer) in queries.iter().zip(&answers) {
+        want_csv.push_str(&match answer {
+            Some(m) => format!(
+                "{ip},{},{},{}\n",
+                m.prefix,
+                m.label.asn.value(),
+                m.label.class
+            ),
+            None => format!("{ip},-,-,-\n"),
+        });
+    }
+    assert!(
+        0 < stats.matched && stats.matched < stats.lookups && stats.cache_hits > 0,
+        "the list exercises hits, misses and the cache: {stats:?}"
+    );
+
+    let metrics = dir.join("metrics.json");
+    let out = run(&[
+        "lookup",
+        "--index",
+        art_s,
+        "--ips",
+        ips.to_str().expect("utf8"),
+        "--metrics",
+        metrics.to_str().expect("utf8"),
+    ]);
+    assert!(out.status.success(), "lookup failed: {out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout) == want_csv,
+        "windowed CSV differs from the whole-list run"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want_summary = format!(
+        "{} lookups: {} matched ({:.1}%), cache {} hit(s) / {} miss(es) / {} uncached\n",
+        stats.lookups,
+        stats.matched,
+        100.0 * stats.matched as f64 / stats.lookups as f64,
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.uncached,
+    );
+    assert!(stderr.contains(&want_summary), "{stderr}");
+    let exported: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).expect("metrics written"))
+            .expect("valid JSON export");
+    for (name, want) in [
+        ("serve.lookups", stats.lookups),
+        ("serve.matched", stats.matched),
+        ("serve.cache.hits", stats.cache_hits),
+        ("serve.cache.misses", stats.cache_misses),
+        ("serve.cache.uncached", stats.uncached),
+    ] {
+        assert_eq!(exported["counters"][name], want, "{name}");
+    }
+    assert_eq!(
+        exported["histograms"]["serve.lookup.ns"]["count"],
+        stats.lookups
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn corrupt_artifacts_are_rejected_as_bad_data() {
     let dir = tmpdir("corrupt_artifact");
