@@ -30,7 +30,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         http_listen: Some("127.0.0.1:0".into()),
         tcp_listen: Some("127.0.0.1:0".into()),
-        workers: 2,
         ..ServeConfig::default()
     }
 }

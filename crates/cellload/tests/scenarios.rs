@@ -15,7 +15,7 @@ use cellload::{
 };
 use cellobs::Observer;
 use cellseal::write_atomic_bytes;
-use cellserve::{Artifact, ArtifactFormat, ArtifactHandle};
+use cellserve::{Artifact, ArtifactFormat, ArtifactHandle, BatchStats, QueryEngine};
 use cellserved::{Daemon, ServeConfig};
 
 /// The sealed artifact a full build at `epoch` produces.
@@ -35,7 +35,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         http_listen: Some("127.0.0.1:0".into()),
         tcp_listen: Some("127.0.0.1:0".into()),
-        workers: 2,
         reload_poll: Duration::from_millis(10),
         ..ServeConfig::default()
     }
@@ -130,14 +129,18 @@ fn single_artifact_presets_answer_identically_on_all_three_targets() {
     }
 }
 
+/// Counters only grow, and — a frame being answered by one engine call
+/// on the thread that read it, with a fresh cache — they are a function
+/// of the frames alone: a second identical replay adds exactly what the
+/// first did, and both equal the engine run over the same frames,
+/// however many connections carried them.
 #[test]
 fn daemon_counters_are_monotone_across_replays() {
+    const FRAME: usize = 128;
     let world = ChurnWorld::demo(33);
-    let handle = load(&artifact_for_epoch(&world, 0));
-    let universe = Universe::from_view(&handle);
-    let obs = Observer::enabled();
-    let daemon = Daemon::start_with_handle(config(), handle, obs.clone()).expect("daemon starts");
-    let addr = daemon.tcp_addr().expect("tcp endpoint");
+    let bytes = artifact_for_epoch(&world, 0);
+    let reference = load(&bytes);
+    let universe = Universe::from_view(&reference);
     let trace = TraceSpec {
         preset: Preset::Diurnal,
         seed: 5,
@@ -145,30 +148,70 @@ fn daemon_counters_are_monotone_across_replays() {
         epochs: 1,
     }
     .generate(std::slice::from_ref(&universe));
-    let cfg = ReplayConfig {
-        clients: 2,
-        frame: 128,
-        ..ReplayConfig::default()
-    };
 
-    replay_framed(addr, &trace, &cfg, &obs, |_| Ok(())).expect("first replay");
-    let first = obs.snapshot();
-    replay_framed(addr, &trace, &cfg, &obs, |_| Ok(())).expect("second replay");
-    let second = obs.snapshot();
-    daemon.shutdown();
+    for clients in [1usize, 4] {
+        let obs = Observer::enabled();
+        let daemon =
+            Daemon::start_with_handle(config(), load(&bytes), obs.clone()).expect("daemon starts");
+        let addr = daemon.tcp_addr().expect("tcp endpoint");
+        let cfg = ReplayConfig {
+            clients,
+            frame: FRAME,
+            ..ReplayConfig::default()
+        };
 
-    for (name, value) in &first.counters {
-        let later = second.counters.get(name).copied().unwrap_or(0);
-        assert!(
-            later >= *value,
-            "counter {name} went backwards: {value} -> {later}"
+        replay_framed(addr, &trace, &cfg, &obs, |_| Ok(())).expect("first replay");
+        let first = obs.snapshot();
+        replay_framed(addr, &trace, &cfg, &obs, |_| Ok(())).expect("second replay");
+        let second = obs.snapshot();
+        daemon.shutdown();
+
+        for (name, value) in &first.counters {
+            let later = second.counters.get(name).copied().unwrap_or(0);
+            assert!(
+                later >= *value,
+                "counter {name} went backwards: {value} -> {later}"
+            );
+        }
+        assert_eq!(
+            second.counters.get("serve.lookups").copied().unwrap_or(0),
+            2 * trace.total_queries() as u64,
+            "every query of both replays is counted exactly once"
         );
+
+        // The frames the replay driver cuts: one contiguous slice per
+        // client, `FRAME` queries at a time.
+        let engine = QueryEngine::new(&reference);
+        let mut expected = BatchStats::default();
+        for seg in &trace.segments {
+            let per = seg.queries.len().div_ceil(clients).max(1);
+            for frame in seg
+                .queries
+                .chunks(per)
+                .flat_map(|slice| slice.chunks(FRAME))
+            {
+                expected += engine.run(frame).1;
+            }
+        }
+        for (name, per_replay) in [
+            ("serve.cache.hits", expected.cache_hits),
+            ("serve.cache.misses", expected.cache_misses),
+            ("serve.cache.uncached", expected.uncached),
+            ("serve.matched", expected.matched),
+        ] {
+            let read = |snap: &cellobs::ObsSnapshot| snap.counters.get(name).copied().unwrap_or(0);
+            assert_eq!(
+                read(&first),
+                per_replay,
+                "{name} at {clients} client(s): the daemon counts what the engine counts"
+            );
+            assert_eq!(
+                read(&second) - read(&first),
+                per_replay,
+                "{name} at {clients} client(s): an identical replay adds an identical amount"
+            );
+        }
     }
-    assert_eq!(
-        second.counters.get("serve.lookups").copied().unwrap_or(0),
-        2 * trace.total_queries() as u64,
-        "every query of both replays is counted exactly once"
-    );
 }
 
 #[test]

@@ -1,22 +1,21 @@
-//! The daemon itself: listeners, batch workers, reload watcher, and the
-//! shutdown choreography that drains them in order.
+//! The daemon itself: listeners, the one request path every connection
+//! thread answers through, reload watchers, and the shutdown
+//! choreography that drains them in order.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cellobs::{ObsSnapshot, Observer};
-use cellserve::{Artifact, ArtifactHandle, IpKey, LookupMatch, QueryEngine, QUERY_CHUNK};
+use cellserve::{Artifact, ArtifactHandle, IpKey, LookupMatch, QueryEngine};
 
-use crate::batcher::{BatchQueue, Pending};
 use crate::conns::{bind_reuseaddr, ConnTracker};
 use crate::error::ServedError;
-use crate::generation::GenerationStore;
+use crate::generation::{Generation, GenerationStore};
 use crate::reload;
 
 /// Tunables for one daemon instance.
@@ -27,13 +26,6 @@ pub struct ServeConfig {
     pub http_listen: Option<String>,
     /// `host:port` for the framed TCP endpoint; `None` disables it.
     pub tcp_listen: Option<String>,
-    /// Batch worker threads pulling from the shared queue.
-    pub workers: usize,
-    /// Queued-query capacity before producers block (backpressure).
-    pub queue_depth: usize,
-    /// How long a worker lingers for more queries before running a
-    /// partial batch. Zero means "run whatever is there immediately".
-    pub max_linger: Duration,
     /// Watch the artifact path and hot-swap validated replacements.
     pub reload_watch: bool,
     /// Watch this path for sealed CELLDELT deltas and hot-patch the
@@ -46,15 +38,16 @@ pub struct ServeConfig {
     pub reload_poll: Duration,
     /// Admission budget: live connections across both listeners. A
     /// connection beyond the budget is shed immediately (HTTP 503 /
-    /// framed close) and counted in `served.conns.rejected`. 0 means
-    /// unlimited (the pre-hardening behavior).
+    /// framed close) and counted in `served.conns.rejected`. Each
+    /// connection thread answers its own requests one at a time, so
+    /// this is also the bound on in-flight work. 0 means unlimited
+    /// (the pre-hardening behavior).
     pub max_conns: usize,
     /// Per-socket read/write timeout. A peer that stalls a read or
     /// write past this — a slow-loris header dripper, a dead client
     /// mid-body, a receiver that never drains its response — is shed
     /// (`served.conns.rejected`). Also bounds how long an idle
-    /// keep-alive connection is held, and how long a handler waits for
-    /// batch-queue capacity before answering 503.
+    /// keep-alive connection is held.
     /// [`Duration::ZERO`] disables every per-socket deadline.
     pub io_timeout: Duration,
     /// Requests served on one connection before the daemon closes it
@@ -71,9 +64,6 @@ impl Default for ServeConfig {
         ServeConfig {
             http_listen: None,
             tcp_listen: None,
-            workers: 2,
-            queue_depth: 64 * QUERY_CHUNK,
-            max_linger: Duration::from_micros(200),
             reload_watch: false,
             delta_watch: None,
             reload_poll: Duration::from_millis(250),
@@ -85,10 +75,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Shared state every connection handler and worker sees.
+/// Shared state every connection handler sees.
 pub(crate) struct Ctx {
     pub store: Arc<GenerationStore>,
-    pub queue: Arc<BatchQueue>,
     pub obs: Observer,
     pub conns: Arc<ConnTracker>,
     /// See [`ServeConfig::io_timeout`]; `ZERO` = disabled.
@@ -98,54 +87,19 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    /// The batch-queue admission wait: the socket timeout, or unbounded
-    /// when timeouts are disabled.
-    pub fn queue_wait(&self) -> Option<Duration> {
-        if self.io_timeout.is_zero() {
-            None
-        } else {
-            Some(self.io_timeout)
-        }
+    /// Answer one request — a frame, a `POST /lookup` body, a single
+    /// `GET /lookup` — on the calling connection thread: pin the
+    /// current generation once, run the engine over `ips` (one chunk
+    /// and one fresh hot-block cache up to [`cellserve::QUERY_CHUNK`]
+    /// queries, rayon fan-out beyond), and return the answers in query
+    /// order with the generation that produced them. A concurrent swap
+    /// only affects later requests.
+    pub(crate) fn answer(&self, ips: &[IpKey]) -> (Vec<Option<LookupMatch>>, Arc<Generation>) {
+        let generation = self.store.current();
+        let engine = QueryEngine::new(&generation.index).with_observer(self.obs.clone());
+        let (answers, _) = engine.run(ips);
+        (answers, generation)
     }
-}
-
-/// Push `ips` through the shared batcher and reassemble the answers in
-/// request order. Used by both the HTTP and TCP handlers, so every
-/// endpoint benefits from coalescing.
-pub(crate) fn lookup_via_batcher(
-    ctx: &Ctx,
-    ips: Vec<IpKey>,
-) -> Result<Vec<Option<LookupMatch>>, ServedError> {
-    let n = ips.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let (tx, rx) = mpsc::channel();
-    let wait = ctx.queue_wait();
-    for (slot, ip) in ips.into_iter().enumerate() {
-        // Bounded admission: a queue full past the wait sheds this
-        // request (503) instead of parking the handler indefinitely.
-        // Queries already pushed are answered by the workers and the
-        // answers discarded with the dropped receiver.
-        ctx.queue.push_wait(
-            Pending {
-                ip,
-                slot,
-                tx: tx.clone(),
-                enqueued: Instant::now(),
-            },
-            wait,
-        )?;
-    }
-    drop(tx);
-    let mut out: Vec<Option<LookupMatch>> = vec![None; n];
-    for _ in 0..n {
-        // Workers answer every drained query before exiting, so a
-        // closed channel here means queries were lost to a dying daemon.
-        let (slot, answer) = rx.recv().map_err(|_| ServedError::ShuttingDown)?;
-        out[slot] = answer;
-    }
-    Ok(out)
 }
 
 #[derive(Clone, Copy)]
@@ -159,7 +113,6 @@ enum Endpoint {
 /// down for a clean exit and the final metrics snapshot.
 pub struct Daemon {
     store: Arc<GenerationStore>,
-    queue: Arc<BatchQueue>,
     obs: Observer,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -211,29 +164,16 @@ impl Daemon {
             ));
         }
         let store = Arc::new(store);
-        let queue = Arc::new(BatchQueue::new(config.queue_depth, config.max_linger));
         let conns = ConnTracker::new(config.max_conns, obs.clone());
         let ctx = Arc::new(Ctx {
             store: Arc::clone(&store),
-            queue: Arc::clone(&queue),
             obs: obs.clone(),
             conns: Arc::clone(&conns),
             io_timeout: config.io_timeout,
             max_requests_per_conn: config.max_requests_per_conn,
         });
         let shutdown = Arc::new(AtomicBool::new(false));
-        let workers = config.workers.max(1);
-        obs.gauge("served.workers").set(workers as u64);
         let mut threads = Vec::new();
-
-        for i in 0..workers {
-            let ctx = Arc::clone(&ctx);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("served-worker-{i}"))
-                    .spawn(move || worker_loop(&ctx))?,
-            );
-        }
 
         let http_addr = match &config.http_listen {
             Some(spec) => Some(Self::spawn_listener(
@@ -292,7 +232,6 @@ impl Daemon {
 
         Ok(Daemon {
             store,
-            queue,
             obs,
             shutdown,
             threads,
@@ -403,10 +342,10 @@ impl Daemon {
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight connection
-    /// handlers, drain every queued query, join all threads, refresh
-    /// the latency-quantile gauges, and hand back the final metrics
-    /// snapshot. The final snapshot cannot race in-flight responses:
-    /// handlers are tracked and drained (bounded by
+    /// handlers (each finishes the request it is answering), join all
+    /// threads, refresh the latency-quantile gauges, and hand back the
+    /// final metrics snapshot. The final snapshot cannot race in-flight
+    /// responses: handlers are tracked and drained (bounded by
     /// [`ServeConfig::drain_timeout`]) before it is taken.
     pub fn shutdown(mut self) -> ObsSnapshot {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -428,7 +367,6 @@ impl Daemon {
             self.conns.close_all();
             let _ = self.conns.drain(Duration::from_millis(250));
         }
-        self.queue.shutdown();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -454,29 +392,4 @@ fn shed(endpoint: Endpoint, stream: TcpStream) {
         );
     }
     // Dropping the stream closes it for both endpoints.
-}
-
-fn worker_loop(ctx: &Ctx) {
-    while let Some(batch) = ctx.queue.next_batch(QUERY_CHUNK) {
-        if batch.is_empty() {
-            continue;
-        }
-        ctx.obs.counter("served.batches").inc();
-        ctx.obs
-            .histogram("served.batch.fill")
-            .record(batch.len() as u64);
-        // Pin this batch to one generation; a concurrent swap only
-        // affects later batches.
-        let generation = ctx.store.current();
-        let engine = QueryEngine::new(&generation.index).with_observer(ctx.obs.clone());
-        let ips: Vec<IpKey> = batch.iter().map(|p| p.ip).collect();
-        let (answers, _) = engine.run(&ips);
-        let wait = ctx.obs.histogram("served.lookup.wait.ns");
-        for (p, answer) in batch.into_iter().zip(answers) {
-            wait.record(p.enqueued.elapsed().as_nanos() as u64);
-            // A handler that gave up (connection error) dropped its
-            // receiver; its answer is simply discarded.
-            let _ = p.tx.send((p.slot, answer));
-        }
-    }
 }

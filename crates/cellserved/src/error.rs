@@ -19,10 +19,11 @@ pub enum ServedError {
     Delta(DeltaError),
     /// A peer sent bytes that do not follow the framing protocol.
     Protocol(String),
-    /// The daemon is shutting down and no longer accepts new queries.
-    ShuttingDown,
     /// The daemon shed this request to protect itself: the connection
-    /// budget or the batch queue stayed full past the admission wait.
+    /// budget ([`ServeConfig::max_conns`](crate::ServeConfig::max_conns))
+    /// was spent. The daemon itself answers that with an HTTP 503 or a
+    /// framed close rather than a value of this type; `cellload`'s HTTP
+    /// replay client maps a 503 it receives to this variant.
     Overloaded,
     /// A [`FramedClient`](crate::FramedClient) exhausted its retry
     /// policy; `last` is the error from the final attempt.
@@ -44,7 +45,6 @@ impl fmt::Display for ServedError {
             ServedError::Artifact(e) => write!(f, "artifact: {e}"),
             ServedError::Delta(e) => write!(f, "delta: {e}"),
             ServedError::Protocol(why) => write!(f, "protocol: {why}"),
-            ServedError::ShuttingDown => f.write_str("daemon is shutting down"),
             ServedError::Overloaded => f.write_str("daemon is overloaded; request shed"),
             ServedError::GaveUp { attempts, last } => {
                 write!(f, "gave up after {attempts} attempt(s): {last}")
@@ -96,9 +96,6 @@ mod tests {
         assert!(ServedError::Artifact(ServeError::UnsupportedVersion(9))
             .to_string()
             .contains('9'));
-        assert!(ServedError::ShuttingDown
-            .to_string()
-            .contains("shutting down"));
         assert!(ServedError::Delta(DeltaError::StaleEpoch {
             current: 5,
             delta: 3

@@ -12,7 +12,7 @@
 //! A corrupt, truncated, newer-version, or CELLSERV v1 candidate (the
 //! last refused with a pointer to `cellspot index migrate`) is rejected
 //! before the swap point, so the old generation keeps serving
-//! untouched; in-flight batches that cloned the old `Arc` finish on it
+//! untouched; in-flight requests that cloned the old `Arc` finish on it
 //! and drop it when done.
 //!
 //! Generations also carry the content hash of their sealed bytes and an
@@ -92,7 +92,7 @@ impl GenerationStore {
     }
 
     /// The generation serving right now. Callers keep the returned
-    /// `Arc` for the duration of one batch; a concurrent swap never
+    /// `Arc` for the duration of one request; a concurrent swap never
     /// invalidates it.
     pub fn current(&self) -> Arc<Generation> {
         Arc::clone(&self.current.read().expect("generation lock poisoned"))

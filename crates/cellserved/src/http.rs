@@ -24,7 +24,7 @@
 //!
 //! Every response is counted exactly once, so the per-endpoint counters
 //! (`served.http.{lookup,lookup_batch,metrics,healthz,generation,
-//! not_found,bad_request,overloaded,timeouts}`) sum to
+//! not_found,bad_request,timeouts}`) sum to
 //! `served.http.requests` (absent socket errors that abort a response
 //! mid-write).
 //!
@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use cellserve::{IndexView, IpKey};
 
-use crate::daemon::{lookup_via_batcher, Ctx};
+use crate::daemon::Ctx;
 use crate::error::ServedError;
 
 /// Largest accepted `POST /lookup` body.
@@ -279,10 +279,7 @@ fn serve_one(
                 record_latency(ctx, t0);
                 return Ok(close);
             }
-            let answers = match lookup_via_batcher(ctx, ips.clone()) {
-                Ok(a) => a,
-                Err(e) => return shed_unavailable(ctx, w, e),
-            };
+            let (answers, _) = ctx.answer(&ips);
             let mut csv = String::from("ip,prefix,asn,class\n");
             for (ip, res) in ips.iter().zip(&answers) {
                 match res {
@@ -367,11 +364,10 @@ fn serve_one(
                             )?;
                         }
                         Ok(ip) => {
-                            let answers = match lookup_via_batcher(ctx, vec![ip]) {
-                                Ok(a) => a,
-                                Err(e) => return shed_unavailable(ctx, w, e),
-                            };
-                            let generation = ctx.store.generation();
+                            // The generation printed is the one that
+                            // answered, not whatever is current by now.
+                            let (answers, answered_by) = ctx.answer(&[ip]);
+                            let generation = answered_by.number;
                             let body = match &answers[0] {
                                 Some(m) => format!(
                                     "{{\"ip\":\"{ip}\",\"matched\":true,\"prefix\":\"{}\",\"asn\":{},\"class\":\"{}\",\"generation\":{generation}}}\n",
@@ -476,31 +472,6 @@ fn shed_stalled(ctx: &Ctx, w: &mut BufWriter<TcpStream>) {
         "request timed out; connection shed\n",
         true,
     );
-}
-
-/// The batcher refused this request (queue full past the admission
-/// wait, or the daemon is draining): answer 503 and close.
-fn shed_unavailable(
-    ctx: &Ctx,
-    w: &mut BufWriter<TcpStream>,
-    e: ServedError,
-) -> Result<bool, ServedError> {
-    match e {
-        ServedError::Overloaded | ServedError::ShuttingDown => {
-            reply(
-                ctx,
-                w,
-                "served.http.overloaded",
-                503,
-                "Service Unavailable",
-                TEXT,
-                "daemon is overloaded; retry later\n",
-                true,
-            )?;
-            Ok(true)
-        }
-        other => Err(other),
-    }
 }
 
 enum LineEnd {

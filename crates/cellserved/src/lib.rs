@@ -7,12 +7,15 @@
 //!    module](crate) routes: `/lookup`, `/metrics`, `/healthz`,
 //!    `/generation`) and a compact length-prefixed TCP protocol
 //!    ([`proto`](crate) wire format, [`FramedClient`] speaks it).
-//! 2. **Batching.** Every query, from either listener, goes through one
-//!    bounded queue that coalesces concurrent requests into shared
-//!    [`cellserve::QUERY_CHUNK`]-sized batches (a `max_linger` knob
-//!    bounds the wait). Workers run batches on the deterministic
-//!    [`cellserve::QueryEngine`], so the daemon inherits its per-lookup
-//!    latency histogram and cache accounting unchanged.
+//! 2. **Answering.** The connection thread that read a request — a
+//!    frame, a `POST /lookup` body, one `GET /lookup` — pins one
+//!    generation and runs one [`cellserve::QueryEngine`] call over it:
+//!    a single chunk with a fresh hot-block cache up to
+//!    [`cellserve::QUERY_CHUNK`] queries, the engine's own rayon
+//!    fan-out beyond. No queue, no hand-off to another thread; the
+//!    daemon inherits the engine's per-lookup latency histogram and
+//!    cache accounting unchanged, and its counters are a function of
+//!    the requests alone.
 //! 3. **Generations.** The index lives behind an atomic `Arc` swap
 //!    ([`GenerationStore`]): a reload validates the candidate artifact
 //!    completely (seal, structure, version) before the swap, and a bad
@@ -35,15 +38,14 @@
 //!    retry — so a daemon restart heals transparently mid-replay.
 //! 5. **Shutdown.** [`Daemon::shutdown`] stops accepting, half-closes
 //!    and drains live connections (bounded by
-//!    [`ServeConfig::drain_timeout`]), drains every queued query, joins
-//!    all threads, refreshes the latency-quantile gauges, and returns
-//!    the final metrics snapshot.
+//!    [`ServeConfig::drain_timeout`]) — each finishes the request it
+//!    is answering — joins all threads, refreshes the latency-quantile
+//!    gauges, and returns the final metrics snapshot.
 //!
-//! Everything is std-only: threads, `Mutex`/`Condvar` batching, and
-//! blocking sockets — no async runtime, in keeping with the workspace's
+//! Everything is std-only: one thread per connection and blocking
+//! sockets — no async runtime, in keeping with the workspace's
 //! dependency-light rule.
 
-mod batcher;
 mod conns;
 mod daemon;
 mod error;
@@ -56,7 +58,7 @@ mod tcp;
 pub use daemon::{Daemon, ServeConfig};
 pub use error::ServedError;
 pub use generation::{Generation, GenerationStore};
-pub use proto::{ClientPolicy, FramedClient, WireAnswer, MAX_FRAME};
+pub use proto::{ClientPolicy, FramedClient, WireAnswer, MAX_FRAME, MAX_QUERIES_PER_FRAME};
 
 /// For every histogram the observer holds, set `<name>.p50`,
 /// `<name>.p99`, and `<name>.p999` gauges from its current

@@ -23,7 +23,9 @@
 //! The class byte uses the sealed artifact's encoding (0 = unknown,
 //! 1 = dedicated, 2 = mixed), so a wire answer round-trips to the same
 //! label the artifact stores. Frames above [`MAX_FRAME`] bytes are
-//! rejected before allocation on both sides.
+//! rejected before allocation on both sides, and so is a request of
+//! more than [`MAX_QUERIES_PER_FRAME`] queries — one whose all-hit
+//! answer would not fit a frame.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -36,6 +38,22 @@ use crate::error::ServedError;
 /// Hard cap on a frame payload, both directions (16 MiB — far above any
 /// sane batch, small enough to reject garbage length prefixes cheaply).
 pub const MAX_FRAME: usize = 1 << 24;
+
+/// Most queries one request frame may carry: as many as can all hit
+/// (7 bytes each, after the 4 count bytes) and still be answered inside
+/// [`MAX_FRAME`]. A v4 query is only 5 bytes on the wire, so without
+/// this a legal request could ask for an answer no frame can hold.
+pub const MAX_QUERIES_PER_FRAME: usize = (MAX_FRAME - 4) / 7;
+const _: () = assert!(4 + MAX_QUERIES_PER_FRAME * 7 <= MAX_FRAME);
+
+/// The error both ends give a request of more than
+/// [`MAX_QUERIES_PER_FRAME`] queries. Never retryable.
+fn too_many_queries(count: usize) -> ServedError {
+    ServedError::Protocol(format!(
+        "{count} queries in one frame exceed the {MAX_QUERIES_PER_FRAME}-query cap \
+         (an all-hit answer would not fit a {MAX_FRAME}-byte frame)"
+    ))
+}
 
 /// Read one length-prefixed frame. `Ok(None)` means the peer closed the
 /// connection cleanly at a frame boundary; EOF mid-frame is an error.
@@ -93,13 +111,18 @@ pub(crate) fn encode_queries(ips: &[IpKey]) -> Vec<u8> {
     out
 }
 
-/// Decode a request payload. Rejects unknown families, truncated
-/// addresses, and trailing bytes.
+/// Decode a request payload. Rejects a count above
+/// [`MAX_QUERIES_PER_FRAME`] (before allocating for it), unknown
+/// families, truncated addresses, and trailing bytes.
 pub(crate) fn decode_queries(payload: &[u8]) -> Result<Vec<IpKey>, ServedError> {
     let mut pos = 0usize;
     let count = take(payload, &mut pos, 4, "query count")?;
     let count = u32::from_le_bytes(count.try_into().expect("4 bytes")) as usize;
-    let mut ips = Vec::with_capacity(count.min(MAX_FRAME / 5));
+    if count > MAX_QUERIES_PER_FRAME {
+        return Err(too_many_queries(count));
+    }
+    // A query is at least 5 bytes, so the payload bounds the allocation.
+    let mut ips = Vec::with_capacity(count.min(payload.len() / 5));
     for i in 0..count {
         let family = take(payload, &mut pos, 1, "address family")?[0];
         match family {
@@ -388,8 +411,13 @@ impl FramedClient {
     /// re-send the whole batch — so a daemon restart mid-replay heals
     /// transparently. When the budget is exhausted the typed
     /// [`ServedError::GaveUp`] reports the attempt count and the final
-    /// failure; protocol violations fail immediately.
+    /// failure; protocol violations fail immediately, and a batch of
+    /// more than [`MAX_QUERIES_PER_FRAME`] addresses is one before a
+    /// byte is sent — split it into several calls.
     pub fn lookup(&mut self, ips: &[IpKey]) -> Result<Vec<Option<WireAnswer>>, ServedError> {
+        if ips.len() > MAX_QUERIES_PER_FRAME {
+            return Err(too_many_queries(ips.len()));
+        }
         let max_attempts = self.policy.max_attempts.max(1);
         let mut attempts = 0u32;
         loop {
@@ -518,6 +546,30 @@ mod tests {
         resp.push(1);
         resp.push(24);
         assert!(decode_answers(&resp).is_err());
+        // One query more than an all-hit answer frame can hold: refused
+        // on the four count bytes alone, as a protocol error…
+        let over = MAX_QUERIES_PER_FRAME + 1;
+        match decode_queries(&(over as u32).to_le_bytes()) {
+            Err(ServedError::Protocol(why)) => assert!(why.contains("cap"), "{why}"),
+            other => panic!("expected a Protocol error, got {other:?}"),
+        }
+        // …while the cap itself is only short of addresses.
+        match decode_queries(&(MAX_QUERIES_PER_FRAME as u32).to_le_bytes()) {
+            Err(ServedError::Protocol(why)) => assert!(why.contains("truncated"), "{why}"),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
+        // The client refuses the same slice without touching the socket
+        // (nobody listens on this port) and without spending a retry.
+        let addr = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            l.local_addr().expect("addr")
+        };
+        let mut client = FramedClient::lazy(addr, ClientPolicy::default()).expect("resolve");
+        assert!(matches!(
+            client.lookup(&vec![IpKey::V4(1); over]),
+            Err(ServedError::Protocol(_))
+        ));
+        assert_eq!(client.retries(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Framed TCP connection handler: decode query frames, answer through
-//! the shared batcher, encode answer frames. See [`crate::proto`] for
-//! the wire format.
+//! Framed TCP connection handler: decode a query frame, answer it on
+//! this thread ([`Ctx::answer`]), encode the answer frame. See
+//! [`crate::proto`] for the wire format.
 //!
 //! The framed protocol always pipelined many requests per connection;
 //! this handler gives it the same hardening semantics as the HTTP
@@ -16,7 +16,7 @@ use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use crate::daemon::{lookup_via_batcher, Ctx};
+use crate::daemon::Ctx;
 use crate::error::ServedError;
 use crate::proto::{decode_queries, encode_answers, read_frame, write_frame};
 
@@ -72,7 +72,7 @@ fn serve_frames(stream: TcpStream, ctx: &Ctx) -> Result<(), ServedError> {
         let ips = decode_queries(&payload)?;
         ctx.obs.counter("served.tcp.requests").inc();
         ctx.obs.counter("served.tcp.queries").add(ips.len() as u64);
-        let answers = lookup_via_batcher(ctx, ips)?;
+        let (answers, _) = ctx.answer(&ips);
         write_frame(&mut writer, &encode_answers(&answers))?;
         ctx.obs
             .histogram("served.tcp.request.ns")

@@ -1,9 +1,9 @@
-//! End-to-end daemon tests: both listeners, batching accounting, and —
+//! End-to-end daemon tests: both listeners, per-request accounting, and —
 //! the load-bearing ones — zero-downtime reload and delta hot-patching
 //! under live traffic, with rejected candidates leaving the old
 //! generation serving.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,9 +49,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         http_listen: Some("127.0.0.1:0".into()),
         tcp_listen: Some("127.0.0.1:0".into()),
-        workers: 2,
-        queue_depth: 4096,
-        max_linger: Duration::from_millis(1),
         reload_watch: false,
         delta_watch: None,
         reload_poll: Duration::from_millis(10),
@@ -71,6 +68,43 @@ fn http_request(addr: SocketAddr, method: &str, target: &str, body: Option<&str>
     let mut out = String::new();
     s.read_to_string(&mut out).expect("read response");
     out
+}
+
+/// One `GET` on a keep-alive connection; returns the body and whether
+/// the daemon announced it is closing the connection (its request cap).
+fn keepalive_get(conn: &mut BufReader<TcpStream>, target: &str) -> (String, bool) {
+    let request = format!("GET {target} HTTP/1.1\r\nHost: test\r\n\r\n");
+    conn.get_mut()
+        .write_all(request.as_bytes())
+        .expect("send request");
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        assert_ne!(conn.read_line(&mut head).expect("read head"), 0, "{head}");
+    }
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("Content-Length");
+    let mut body = vec![0u8; len];
+    conn.read_exact(&mut body).expect("read body");
+    (
+        String::from_utf8(body).expect("utf8 body"),
+        head.contains("Connection: close"),
+    )
+}
+
+/// The unsigned value of `"key":N` in a flat JSON body.
+fn json_u64(body: &str, key: &str) -> u64 {
+    let rest = body
+        .split(&format!("\"{key}\":"))
+        .nth(1)
+        .unwrap_or_else(|| panic!("no {key} in {body}"));
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("bad {key} in {body}"))
 }
 
 fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -154,58 +188,81 @@ fn both_endpoints_answer_and_every_lookup_is_sampled() {
     assert!(snap.counters["served.http.requests"] >= 7);
     assert_eq!(snap.counters["served.http.lookup"], 2);
     assert_eq!(snap.counters["served.http.lookup_batch"], 1);
-    assert!(snap.counters["served.batches"] >= 1);
+    // Every lookup lands in exactly one cache-accounting bucket, and
+    // nothing stands between a request and the engine to count.
+    let cache = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
+    assert_eq!(
+        cache("serve.cache.hits") + cache("serve.cache.misses") + cache("serve.cache.uncached"),
+        lookups
+    );
+    assert!(!snap.counters.contains_key("served.batches"));
     assert_eq!(snap.gauges["served.generation"], 1);
     assert!(snap.gauges.contains_key("serve.lookup.ns.p99"));
-    assert!(snap.gauges.contains_key("served.lookup.wait.ns.p999"));
 }
 
 /// Closed-loop framed clients hold their connection for the whole run:
 /// every frame past the first per connection is a keep-alive reuse, and
-/// the engine-side counter accounts for every query a client sent.
+/// the engine-side counter accounts for every query a client sent —
+/// for a couple of bulk clients, for many single-query clients at once,
+/// and for frames that span engine chunks on the connection thread.
 #[test]
 fn framed_keepalive_accounts_every_frame_and_query() {
-    const CLIENTS: u64 = 2;
-    const FRAMES: u64 = 20;
-    const QUERIES: u64 = 8;
     let path = tmpdir("framed-keepalive").join("index.cellserv");
     write_atomic_bytes(&path, &artifact(64500, AsClass::Dedicated, false)).expect("write artifact");
-    let daemon = Daemon::start(config(), &path, Observer::enabled()).expect("daemon starts");
-    let tcp = daemon.tcp_addr().expect("tcp listener");
+    for (clients, frames, queries) in [
+        (2u64, 20u64, 8u64),
+        (32, 20, 1),
+        (2, 3, cellserve::QUERY_CHUNK as u64 + 17),
+    ] {
+        let daemon = Daemon::start(config(), &path, Observer::enabled()).expect("daemon starts");
+        let tcp = daemon.tcp_addr().expect("tcp listener");
 
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut client = FramedClient::connect(tcp).expect("connect");
-                for f in 0..FRAMES {
-                    let frame: Vec<IpKey> = (0..QUERIES)
-                        .map(|q| {
-                            IpKey::V4(0x0A00_0000 + (c * FRAMES * QUERIES + f * QUERIES + q) as u32)
-                        })
-                        .collect();
-                    let answers = client.lookup(&frame).expect("framed lookup");
-                    assert!(answers.iter().all(Option::is_some), "10/8 serves them all");
-                }
+        let threads: Vec<_> = (0..clients)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let mut client = FramedClient::connect(tcp).expect("connect");
+                    for f in 0..frames {
+                        let frame: Vec<IpKey> = (0..queries)
+                            .map(|q| {
+                                IpKey::V4(
+                                    0x0A00_0000 + (c * frames * queries + f * queries + q) as u32,
+                                )
+                            })
+                            .collect();
+                        let answers = client.lookup(&frame).expect("framed lookup");
+                        assert!(answers.iter().all(Option::is_some), "10/8 serves them all");
+                    }
+                })
             })
-        })
-        .collect();
-    for c in clients {
-        c.join().expect("client thread");
-    }
+            .collect();
+        for t in threads {
+            t.join().expect("client thread");
+        }
 
-    let snap = daemon.shutdown();
-    assert_eq!(snap.counters["served.tcp.connections"], CLIENTS);
-    assert_eq!(snap.counters["served.tcp.requests"], CLIENTS * FRAMES);
-    assert_eq!(
-        snap.counters["served.tcp.keepalive.reuses"],
-        CLIENTS * (FRAMES - 1),
-        "every frame after a connection's first reuses it"
-    );
-    assert_eq!(
-        snap.counters["served.tcp.queries"],
-        CLIENTS * FRAMES * QUERIES
-    );
-    assert_eq!(snap.counters["serve.lookups"], CLIENTS * FRAMES * QUERIES);
+        let snap = daemon.shutdown();
+        let shape = format!("{clients} clients x {frames} frames x {queries} queries");
+        assert_eq!(snap.counters["served.tcp.connections"], clients, "{shape}");
+        assert_eq!(
+            snap.counters["served.tcp.requests"],
+            clients * frames,
+            "{shape}"
+        );
+        assert_eq!(
+            snap.counters["served.tcp.keepalive.reuses"],
+            clients * (frames - 1),
+            "{shape}: every frame after a connection's first reuses it"
+        );
+        assert_eq!(
+            snap.counters["served.tcp.queries"],
+            clients * frames * queries,
+            "{shape}"
+        );
+        assert_eq!(
+            snap.counters["serve.lookups"],
+            clients * frames * queries,
+            "{shape}"
+        );
+    }
 }
 
 #[test]
@@ -217,6 +274,7 @@ fn reload_swaps_generations_without_dropping_traffic() {
     cfg.reload_watch = true;
     let daemon = Daemon::start(cfg, &path, obs.clone()).expect("daemon starts");
     let tcp = daemon.tcp_addr().expect("tcp listener");
+    let http = daemon.http_addr().expect("http listener");
 
     // Hammer the daemon from a client thread for the whole test; every
     // single request must get a valid answer, across the swap.
@@ -239,8 +297,40 @@ fn reload_swaps_generations_without_dropping_traffic() {
         }
         seen
     });
+    // Beside it, a keep-alive `GET /lookup` loop: generation N's
+    // artifact labels 10/8 with AS N, so a body whose `asn` and
+    // `generation` differ paired one generation's answer with another's
+    // number. It reports its first answer before generation 2 is
+    // published, and its last request starts after the stop flag (set
+    // once the swap is visible), so it covers before, across and after.
+    let stop3 = Arc::clone(&stop);
+    let (first_answer_tx, first_answer_rx) = std::sync::mpsc::channel();
+    let http_thread = std::thread::spawn(move || -> Vec<u64> {
+        let connect = || BufReader::new(TcpStream::connect(http).expect("connect http"));
+        let mut conn = connect();
+        let mut seen = Vec::new();
+        loop {
+            let stopping = stop3.load(Ordering::SeqCst);
+            let (body, closing) = keepalive_get(&mut conn, "/lookup?ip=10.0.0.1");
+            assert_eq!(
+                json_u64(&body, "asn"),
+                json_u64(&body, "generation"),
+                "answered by one generation, numbered as another: {body}"
+            );
+            seen.push(json_u64(&body, "generation"));
+            if seen.len() == 1 {
+                first_answer_tx.send(()).expect("main thread waits");
+            }
+            if stopping {
+                return seen;
+            }
+            if closing {
+                conn = connect();
+            }
+        }
+    });
 
-    std::thread::sleep(Duration::from_millis(50));
+    first_answer_rx.recv().expect("http client answered once");
     write_atomic_bytes(&path, &artifact(2, AsClass::Mixed, true)).expect("publish generation 2");
     assert!(
         wait_until(Duration::from_secs(5), || daemon.generation() == 2),
@@ -255,6 +345,14 @@ fn reload_swaps_generations_without_dropping_traffic() {
     );
     stop.store(true, Ordering::SeqCst);
     let seen = client_thread.join().expect("client thread");
+    let http_seen = http_thread.join().expect("http client thread");
+
+    assert_eq!(http_seen.first(), Some(&1), "answered before the swap");
+    assert_eq!(http_seen.last(), Some(&2), "answered after the swap");
+    assert!(
+        http_seen.windows(2).all(|w| w[0] <= w[1]),
+        "a serialized client never goes back a generation"
+    );
 
     assert!(!seen.is_empty());
     assert!(

@@ -137,15 +137,15 @@ const ACCEPTED_FLAGS: &[(&str, &str, &str)] = &[
     ),
     (
         "serve",
-        "--index --listen --tcp --workers --queue-depth --max-linger-us --reload-poll-ms \
-         --delta-watch --shutdown-after-ms --max-conns --io-timeout-ms \
-         --max-requests-per-conn --drain-timeout-ms --metrics --metrics-format",
+        "--index --listen --tcp --reload-poll-ms --delta-watch --shutdown-after-ms \
+         --max-conns --io-timeout-ms --max-requests-per-conn --drain-timeout-ms \
+         --metrics --metrics-format",
         "--reload-watch",
     ),
     (
         "replay",
         "--preset --seed --queries --epochs --scale --threshold --mode --clients --frame \
-         --workers --trace-out --trace-in --out --metrics --metrics-format",
+         --trace-out --trace-in --out --metrics --metrics-format",
         "",
     ),
 ];
@@ -886,21 +886,6 @@ fn serve(args: &[String]) -> CmdResult {
             .map_err(|_| CliError::Usage(format!("bad {flag} (expected milliseconds)")))
             .map(|v| v.unwrap_or(default))
     };
-    let workers: usize = flag_value(args, "--workers")
-        .map(|v| v.parse())
-        .transpose()
-        .map_err(|_| CliError::Usage("bad --workers (expected a positive integer)".into()))?
-        .unwrap_or(2);
-    let queue_depth: usize = flag_value(args, "--queue-depth")
-        .map(|v| v.parse())
-        .transpose()
-        .map_err(|_| CliError::Usage("bad --queue-depth (expected a positive integer)".into()))?
-        .unwrap_or(64 * cellserve::QUERY_CHUNK);
-    if workers == 0 || queue_depth == 0 {
-        return Err(CliError::Usage(
-            "--workers and --queue-depth must be at least 1".into(),
-        ));
-    }
     let parse_count = |flag: &str, default: usize| -> Result<usize, CliError> {
         flag_value(args, flag)
             .map(|v| v.parse())
@@ -912,15 +897,6 @@ fn serve(args: &[String]) -> CmdResult {
     let config = cellserved::ServeConfig {
         http_listen: Some(flag_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:7077".into())),
         tcp_listen: flag_value(args, "--tcp"),
-        workers,
-        queue_depth,
-        max_linger: std::time::Duration::from_micros(
-            flag_value(args, "--max-linger-us")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| CliError::Usage("bad --max-linger-us (expected microseconds)".into()))?
-                .unwrap_or(200),
-        ),
         reload_watch: args.iter().any(|a| a == "--reload-watch"),
         reload_poll: std::time::Duration::from_millis(parse_ms("--reload-poll-ms", 250)?),
         delta_watch: flag_value(args, "--delta-watch").map(PathBuf::from),
@@ -1045,7 +1021,6 @@ fn replay(args: &[String]) -> CmdResult {
     };
     let clients = parse_count("--clients", 4)?;
     let frame = parse_count("--frame", 256)?;
-    let workers = parse_count("--workers", 2)?;
     let queries = parse_count("--queries", 100_000)?;
     let epochs_flag = parse_count("--epochs", 4)? as u64;
     let out =
@@ -1186,7 +1161,6 @@ fn replay(args: &[String]) -> CmdResult {
             let config = cellserved::ServeConfig {
                 http_listen: if mode == "http" { listen.clone() } else { None },
                 tcp_listen: if mode == "tcp" { listen } else { None },
-                workers,
                 ..cellserved::ServeConfig::default()
             };
             // The daemon gets its own handle on the epoch-0 bytes (a
@@ -1290,16 +1264,14 @@ fn usage(err: &str) -> ! {
                        [--base-epoch N] [--epoch N] --out DELTA\n\
            delta apply --base ARTIFACT --delta DELTA --out ARTIFACT\n\
            lookup      --index ARTIFACT --ips F [--out F]\n\
-           serve       --index ARTIFACT [--listen ADDR] [--tcp ADDR] [--workers N]\n\
-                       [--queue-depth N] [--max-linger-us N] [--reload-watch]\n\
+           serve       --index ARTIFACT [--listen ADDR] [--tcp ADDR] [--reload-watch]\n\
                        [--reload-poll-ms N] [--delta-watch FILE] [--shutdown-after-ms N]\n\
                        [--max-conns N] [--io-timeout-ms N] [--max-requests-per-conn N]\n\
                        [--drain-timeout-ms N]   (0 disables the respective limit)\n\
            replay      --preset steady|diurnal|flashcrowd|scan|churn [--seed N]\n\
                        [--queries N] [--epochs E] [--scale mini|demo|paper]\n\
                        [--threshold T] [--mode engine|tcp|http] [--clients N] [--frame N]\n\
-                       [--workers N] [--trace-out FILE] [--trace-in FILE]\n\
-                       [--out BENCH_replay.json]\n\
+                       [--trace-out FILE] [--trace-in FILE] [--out BENCH_replay.json]\n\
          \n\
          global flags:\n\
            --threads N                 pin the rayon pool (flag > CELLSPOT_THREADS > auto)\n\

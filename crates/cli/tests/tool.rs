@@ -1411,6 +1411,11 @@ fn unknown_flags_are_usage_errors() {
         "index build --beacons b.csv --demand d.csv --format v1 --out x.idx",
         "--format",
     );
+    // Removed with the request queue and worker pool they configured.
+    assert_rejects("serve --index x.idx --workers 4", "--workers");
+    assert_rejects("serve --index x.idx --queue-depth 64", "--queue-depth");
+    assert_rejects("serve --index x.idx --max-linger-us 0", "--max-linger-us");
+    assert_rejects("replay --preset steady --workers 2", "--workers");
 
     // Every flag of every command line in the usage text, probed as
     // `<command> <flag> [value] --no-such-flag --nor-this`: the check
