@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use netaddr::{Asn, Block24, Block48, DualPrefixTrie, Ipv4Net, Ipv6Net};
 
 use crate::record::AccessType;
 
 /// One labeled prefix in a carrier's ground-truth list.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum GroundTruthEntry {
     /// An IPv4 CIDR with its access label.
     V4(Ipv4Net, AccessType),
@@ -29,7 +27,7 @@ impl GroundTruthEntry {
 /// Validation joins these CIDRs against observed /24 and /48 blocks via a
 /// longest-prefix-match trie: a block inherits the label of the most
 /// specific ground-truth prefix covering it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CarrierGroundTruth {
     /// Operator codename ("Carrier A", …).
     pub name: String,
@@ -37,27 +35,14 @@ pub struct CarrierGroundTruth {
     pub asns: Vec<Asn>,
     /// Labeled CIDRs.
     pub entries: Vec<GroundTruthEntry>,
-    #[serde(skip)]
-    trie: Option<DualPrefixTrie<AccessType>>,
+    trie: DualPrefixTrie<AccessType>,
 }
 
 impl CarrierGroundTruth {
     /// Build from labeled entries.
     pub fn new(name: impl Into<String>, asns: Vec<Asn>, entries: Vec<GroundTruthEntry>) -> Self {
-        let mut gt = CarrierGroundTruth {
-            name: name.into(),
-            asns,
-            entries,
-            trie: None,
-        };
-        gt.build_trie();
-        gt
-    }
-
-    /// (Re)build the lookup trie; required after deserialization.
-    pub fn build_trie(&mut self) {
         let mut trie = DualPrefixTrie::new();
-        for e in &self.entries {
+        for e in &entries {
             match e {
                 GroundTruthEntry::V4(net, a) => {
                     trie.insert_v4(*net, *a);
@@ -67,24 +52,23 @@ impl CarrierGroundTruth {
                 }
             }
         }
-        self.trie = Some(trie);
-    }
-
-    fn trie(&self) -> &DualPrefixTrie<AccessType> {
-        self.trie
-            .as_ref()
-            .expect("trie is built in new(); call build_trie() after deserialization")
+        CarrierGroundTruth {
+            name: name.into(),
+            asns,
+            entries,
+            trie,
+        }
     }
 
     /// Ground-truth label for an IPv4 /24 block, if any prefix covers its
     /// base address. Blocks outside the carrier's space return `None`.
     pub fn label_block24(&self, block: Block24) -> Option<AccessType> {
-        self.trie().lookup_v4(block.base_addr()).map(|(_, a)| *a)
+        self.trie.lookup_v4(block.base_addr()).map(|(_, a)| *a)
     }
 
     /// Ground-truth label for an IPv6 /48 block.
     pub fn label_block48(&self, block: Block48) -> Option<AccessType> {
-        self.trie().lookup_v6(block.base_addr()).map(|(_, a)| *a)
+        self.trie.lookup_v6(block.base_addr()).map(|(_, a)| *a)
     }
 
     /// Every /24 block covered by the carrier's IPv4 ground truth, with its
@@ -218,22 +202,5 @@ mod tests {
         assert!(blocks.iter().all(|(_, a)| a.is_cellular()));
         let b = Block48::of_addr(0x2001_0db8_0001_0000_0000_0000_0000_0000);
         assert_eq!(gt.label_block48(b), Some(AccessType::Cellular));
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_trie() {
-        let gt = CarrierGroundTruth::new(
-            "Carrier T",
-            vec![Asn(64500)],
-            vec![v4("192.0.2.0/24", AccessType::Cellular)],
-        );
-        let json = serde_json::to_string(&gt).unwrap();
-        let mut back: CarrierGroundTruth = serde_json::from_str(&json).unwrap();
-        back.build_trie();
-        assert_eq!(
-            back.label_block24(Block24::of_addr(0xC0000205)),
-            Some(AccessType::Cellular)
-        );
-        assert_eq!(back.name, "Carrier T");
     }
 }

@@ -1,17 +1,14 @@
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use netaddr::{Asn, Continent, CountryCode};
 
 use crate::record::AsRecord;
 
 /// An indexed collection of [`AsRecord`]s — the reproduction's stand-in for
 /// the CAIDA AS classification dataset plus WHOIS-style registration data.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AsDatabase {
     records: Vec<AsRecord>,
-    #[serde(skip)]
     index: HashMap<Asn, usize>,
 }
 
@@ -46,23 +43,7 @@ impl AsDatabase {
 
     /// Look up a record by ASN.
     pub fn get(&self, asn: Asn) -> Option<&AsRecord> {
-        if self.index.len() != self.records.len() {
-            // Deserialized databases arrive without the index (it is
-            // `serde(skip)`); fall back to a linear scan. `rebuild_index`
-            // restores O(1) lookups.
-            return self.records.iter().find(|r| r.asn == asn);
-        }
         self.index.get(&asn).map(|&i| &self.records[i])
-    }
-
-    /// Rebuild the ASN index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.asn, i))
-            .collect();
     }
 
     /// Number of records.
@@ -139,20 +120,5 @@ mod tests {
         assert_eq!(db.by_country(CountryCode::literal("US")).count(), 2);
         assert_eq!(db.by_continent(Continent::Europe).count(), 1);
         assert_eq!(db.by_country(CountryCode::literal("JP")).count(), 0);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_lookups() {
-        let db = AsDatabase::from_records(vec![
-            rec(10, "JP", Continent::Asia, AsKind::MixedAccess),
-            rec(11, "JP", Continent::Asia, AsKind::ContentCdn),
-        ]);
-        let json = serde_json::to_string(&db).unwrap();
-        let mut back: AsDatabase = serde_json::from_str(&json).unwrap();
-        // Lookups work before and after index rebuild.
-        assert_eq!(back.get(Asn(11)).unwrap().kind, AsKind::ContentCdn);
-        back.rebuild_index();
-        assert_eq!(back.get(Asn(10)).unwrap().kind, AsKind::MixedAccess);
-        assert_eq!(back.len(), 2);
     }
 }

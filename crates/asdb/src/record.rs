@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use netaddr::{Asn, Continent, CountryCode};
 
 /// The access technology a customer line ultimately traverses.
@@ -10,7 +8,7 @@ use netaddr::{Asn, Continent, CountryCode};
 /// connection is [`AccessType::Cellular`] iff its path crosses a cellular
 /// radio link, regardless of the end device (a laptop tethered through a
 /// phone is cellular; a phone on home WiFi is fixed).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AccessType {
     /// Path traverses a cellular radio (2G/3G/LTE…).
     Cellular,
@@ -41,7 +39,7 @@ impl fmt::Display for AccessType {
 /// The original dataset labels ASes `Transit/Access`, `Content`, or
 /// `Enterprise`; ASes absent from the dataset have no known class, which
 /// the heuristic also treats as excludable.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AsClass {
     /// Transit providers and access (eyeball) networks.
     TransitAccess,
@@ -81,7 +79,7 @@ impl fmt::Display for AsClass {
 /// This is ground truth that the measurement pipeline must *not* consult
 /// (it does not exist for the real Internet); it drives the generator and
 /// serves as the oracle for validation and shape tests.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AsKind {
     /// Offers only cellular access (may include home broadband delivered
     /// over a cellular link).
@@ -149,7 +147,7 @@ impl fmt::Display for AsKind {
 }
 
 /// One autonomous system's metadata record.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AsRecord {
     /// The AS number.
     pub asn: Asn,

@@ -1,10 +1,8 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The `ConnectionType` enumeration exposed by the Network Information
 /// API (§3.1): the browser's view of the active network interface.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ConnectionType {
     /// Cellular radio (2G/3G/LTE).
     Cellular,
@@ -45,7 +43,7 @@ impl fmt::Display for ConnectionType {
 
 /// Browser families relevant to Network Information API availability
 /// (Fig. 1: Chrome Mobile and Android WebKit dominate enabled hits).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Browser {
     /// Chrome for Android (NetInfo since v38, Oct 2014).
     ChromeMobile,

@@ -1,10 +1,9 @@
 //! The two observable datasets of the study (Table 2).
 
 use netaddr::{Asn, BlockId};
-use serde::{Deserialize, Serialize};
 
 /// Per-block aggregate of RUM beacon hits for the collection month.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BeaconRecord {
     /// The /24 or /48 block the client IPs aggregate into.
     pub block: BlockId,
@@ -37,7 +36,7 @@ impl BeaconRecord {
 
 /// The BEACON dataset: one month of RUM beacons aggregated per block,
 /// sorted by block id.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BeaconDataset {
     /// Collection period label (e.g. `2016-12`).
     pub period: String,
@@ -113,7 +112,7 @@ impl BeaconDataset {
 
 /// Per-block demand after normalization: Demand Units out of 100,000
 /// across the whole platform (1,000 DU = 1% of global request demand).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DemandRecord {
     /// The /24 or /48 block.
     pub block: BlockId,
@@ -125,7 +124,7 @@ pub struct DemandRecord {
 
 /// The DEMAND dataset: one smoothed week of platform-wide request demand,
 /// sorted by block id and normalized to 100,000 DU.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DemandDataset {
     /// Collection period label (e.g. `2016-12-24..2016-12-31`).
     pub period: String,
@@ -349,20 +348,5 @@ mod tests {
                 "bit-identical normalization"
             );
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let ds = DemandDataset::from_raw(
-            "w",
-            vec![DemandRecord {
-                block: b4(7),
-                asn: Asn(7),
-                du: 2.0,
-            }],
-        );
-        let json = serde_json::to_string(&ds).unwrap();
-        let back: DemandDataset = serde_json::from_str(&json).unwrap();
-        assert!((back.du(b4(7)) - TOTAL_DU).abs() < 1e-6);
     }
 }

@@ -16,7 +16,6 @@
 use asdb::AccessType;
 use netaddr::{Asn, BlockId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use worldgen::sampling::{poisson, rng_for, weighted_choice, zipf_weights, GenRng};
 use worldgen::{BlockRole, World};
 
@@ -25,7 +24,7 @@ use crate::datasets::{BeaconDataset, BeaconRecord};
 use crate::netinfo::{browser_mix, DEC_2016};
 
 /// One RUM beacon, as logged by the CDN.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BeaconEvent {
     /// Block the client IP aggregates into.
     pub block: BlockId,

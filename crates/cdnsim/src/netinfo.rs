@@ -6,12 +6,10 @@
 //! browsers (96.7% of enabled requests in December 2016), landing at
 //! 13.2% in December 2016 and ~15% by June 2017.
 
-use serde::{Deserialize, Serialize};
-
 use crate::connection::Browser;
 
 /// One month's NetInfo-enabled share of beacon hits, by browser.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MonthShare {
     /// Months since 2015-09 (0 = Sep 2015; 15 = Dec 2016; 21 = Jun 2017).
     pub month_index: u32,

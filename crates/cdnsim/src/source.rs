@@ -26,7 +26,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use netaddr::{Asn, BlockId};
-use serde::{Deserialize, Serialize};
 use worldgen::sampling::{binomial, lognormal_jitter, poisson, rng_for, GenRng};
 use worldgen::{SubnetRecord, World};
 
@@ -39,7 +38,7 @@ use crate::stream::{block_stream, BEACON_SEED_TAG, DEMAND_SEED_TAG};
 const SPLIT_SEED_TAG: u64 = 0x5711_7000_0000_0000;
 
 /// How an event source failed to serve an epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SourceErrorKind {
     /// Transient: the collector stalled; retrying the epoch may succeed.
     Stall,
@@ -52,7 +51,7 @@ pub enum SourceErrorKind {
 /// Only [`EventSource::try_epoch`] can return it, and only when a gate was
 /// installed with [`EventSource::with_gate`] — the default source is
 /// infallible.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SourceError {
     /// Epoch the failure was injected at.
     pub epoch: u32,
@@ -81,7 +80,7 @@ pub trait EpochGate: Send + Sync {
 }
 
 /// One element of the ingest feed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StreamEvent {
     /// A slice of one block's monthly RUM beacon hits.
     Beacon(BeaconDelta),
@@ -110,7 +109,7 @@ impl StreamEvent {
 /// An additive slice of one block's monthly beacon counters. Summing a
 /// block's deltas over all epochs yields exactly the batch
 /// [`crate::BeaconRecord`] for that block.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BeaconDelta {
     /// Epoch index, `0..epochs`.
     pub epoch: u32,
@@ -133,7 +132,7 @@ pub struct BeaconDelta {
 /// One smoothing day's raw (unnormalized) demand draw for a block.
 /// Accumulating a block's days in order and dividing by the smoothing
 /// window reproduces the batch per-block demand bit for bit.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DemandDay {
     /// Epoch index, `0..epochs`.
     pub epoch: u32,

@@ -114,7 +114,7 @@ impl ChurnWorld {
                 continue; // toggled out of existence this epoch
             }
             let asn = Asn(64_500 + (self.h(TAG_ASN, i, 0) % self.ases as u64) as u32);
-            let base_cellular = self.h(TAG_SHAPE, i, 0) % 4 != 0;
+            let base_cellular = !self.h(TAG_SHAPE, i, 0).is_multiple_of(4);
             let cellular_now = base_cellular ^ (flips % 2 == 1);
             let netinfo = 40 + self.h(TAG_NETINFO, i, 0) % 60;
             let cellular_hits = if cellular_now {

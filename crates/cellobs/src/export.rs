@@ -174,6 +174,14 @@ mod tests {
         assert!(text.contains("epoch_events_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("epoch_events_sum 12"));
         assert!(text.contains("epoch_events_count 3"));
+        // The JSON face of the same fixture, byte for byte.
+        assert_eq!(
+            ExportFormat::Json.render(&snap),
+            "{\n  \"counters\": {\n    \"ingest.events\": 10\n  },\n  \"gauges\": {\n    \
+             \"ingest.state-bytes.peak\": 2048\n  },\n  \"histograms\": {\n    \
+             \"epoch.events\": {\"count\": 3, \"sum\": 12, \"buckets\": [[\"2\", 1], [\"8\", 2]]}\n  },\n  \
+             \"spans\": []\n}\n"
+        );
         // Every non-comment line is `name{labels} value` or `name value`.
         for line in text.lines() {
             if line.starts_with('#') {

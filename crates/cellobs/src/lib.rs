@@ -37,6 +37,7 @@
 
 mod export;
 mod hist;
+pub mod json;
 mod registry;
 mod snapshot;
 

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::hist::{bucket_bound_label, HistogramSnapshot};
+use crate::json::write_str;
 
 /// One finished span.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,7 +65,7 @@ impl ObsSnapshot {
             }
             first = false;
             out.push_str("\n    ");
-            push_json_string(&mut out, name);
+            write_str(&mut out, name);
             out.push_str(&format!(
                 ": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
                 h.count, h.sum
@@ -74,7 +75,7 @@ impl ObsSnapshot {
                     out.push_str(", ");
                 }
                 out.push('[');
-                push_json_string(&mut out, &bucket_bound_label(*bucket));
+                write_str(&mut out, &bucket_bound_label(*bucket));
                 out.push_str(&format!(", {count}]"));
             }
             out.push_str("]}");
@@ -88,7 +89,7 @@ impl ObsSnapshot {
                 out.push(',');
             }
             out.push_str("\n    {\"path\": ");
-            push_json_string(&mut out, &s.path);
+            write_str(&mut out, &s.path);
             out.push_str(&format!(", \"depth\": {}, \"items\": {}", s.depth, s.items));
             if with_timings {
                 out.push_str(&format!(", \"millis\": {:.3}", s.millis));
@@ -111,7 +112,7 @@ fn render_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
         }
         first = false;
         out.push_str("\n    ");
-        push_json_string(out, k);
+        write_str(out, k);
         out.push_str(&format!(": {v}"));
     }
     if !map.is_empty() {
@@ -119,26 +120,10 @@ fn render_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
     }
 }
 
-/// Append `s` as a JSON string literal, escaping as required by RFC 8259.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn sample() -> ObsSnapshot {
         let mut s = ObsSnapshot::default();
@@ -188,10 +173,57 @@ mod tests {
         assert!(!a.to_canonical_json_redacted().contains("millis"));
     }
 
+    /// The export's bytes are a contract (`--metrics` files are diffed
+    /// across runs): pinned here on the sample, with and without
+    /// timings, on a name that needs every escape, and empty.
+    #[test]
+    fn export_bytes_are_pinned_and_parse() {
+        let full = "{\n  \"counters\": {\n    \"a.count\": 1,\n    \"b.count\": 2\n  },\n  \
+                    \"gauges\": {\n    \"peak\": 7\n  },\n  \"histograms\": {\n    \
+                    \"h\": {\"count\": 3, \"sum\": 9, \"buckets\": [[\"1\", 1], [\"4\", 2]]}\n  },\n  \
+                    \"spans\": [\n    {\"path\": \"study/classify\", \"depth\": 1, \"items\": 42, \
+                    \"millis\": 1.500}\n  ]\n}\n";
+        assert_eq!(sample().to_canonical_json(), full);
+        assert_eq!(
+            sample().to_canonical_json_redacted(),
+            full.replace(", \"millis\": 1.500", "")
+        );
+        assert_eq!(
+            ObsSnapshot::default().to_canonical_json(),
+            "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {},\n  \"spans\": []\n}\n"
+        );
+        let mut odd = ObsSnapshot::default();
+        odd.counters
+            .insert("q\"b\\n\nr\rt\tc\u{1}é".into(), u64::MAX);
+        let json = odd.to_canonical_json();
+        assert!(
+            json.contains(r#""q\"b\\n\nr\rt\tc\u0001é": 18446744073709551615"#),
+            "{json}"
+        );
+
+        // Whatever the exporter writes, the workspace's parser reads back.
+        let parsed = Json::parse(&json).expect("export parses");
+        assert_eq!(
+            parsed["counters"]["q\"b\\n\nr\rt\tc\u{1}é"],
+            Json::Int(u64::MAX)
+        );
+        let parsed = Json::parse(full).expect("export parses");
+        assert_eq!(
+            parsed["histograms"]["h"]["buckets"],
+            Json::parse(r#"[["1", 1], ["4", 2]]"#).unwrap()
+        );
+        assert_eq!(
+            parsed["spans"],
+            Json::Arr(vec![crate::obj! {
+                "path" => "study/classify", "depth" => 1u64, "items" => 42u64, "millis" => 1.5f64,
+            }])
+        );
+    }
+
     #[test]
     fn strings_escape() {
         let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd");
+        write_str(&mut out, "a\"b\\c\nd");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -201,11 +201,13 @@ impl Daemon {
             let (path, initial) = artifact.expect("checked above");
             let watch_store = Arc::clone(&store);
             threads.push(reload::spawn_watcher(
-                "served-reload",
-                "served.reload",
-                path,
-                config.reload_poll,
-                initial,
+                reload::Watch {
+                    name: "served-reload",
+                    metric: "served.reload",
+                    path,
+                    poll: config.reload_poll,
+                    initial,
+                },
                 obs.clone(),
                 move |p| {
                     let _ = watch_store.try_swap_path(p);
@@ -217,11 +219,13 @@ impl Daemon {
             let initial = reload::fingerprint(&path);
             let delta_store = Arc::clone(&store);
             threads.push(reload::spawn_watcher(
-                "served-delta",
-                "served.delta",
-                path,
-                config.reload_poll,
-                initial,
+                reload::Watch {
+                    name: "served-delta",
+                    metric: "served.delta",
+                    path,
+                    poll: config.reload_poll,
+                    initial,
+                },
                 obs.clone(),
                 move |p| {
                     let _ = delta_store.try_apply_delta_path(p);

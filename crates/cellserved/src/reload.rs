@@ -51,15 +51,25 @@ pub(crate) fn fingerprint(path: &Path) -> Option<Fingerprint> {
     Some(Fingerprint { stat, content })
 }
 
-/// Spawn the polling thread. `name` is the thread name; `metric` is
-/// the observer prefix (`served.reload` / `served.delta`) under which
-/// the `.polls.skipped` counter is kept.
+/// What one watcher polls, and under which names.
+pub(crate) struct Watch {
+    /// The polling thread's name.
+    pub name: &'static str,
+    /// The observer prefix (`served.reload` / `served.delta`) under
+    /// which the `.polls.skipped` counter is kept.
+    pub metric: &'static str,
+    /// The watched file.
+    pub path: PathBuf,
+    /// Time between polls.
+    pub poll: Duration,
+    /// The file's fingerprint when the watch starts, if it has one.
+    pub initial: Option<Fingerprint>,
+}
+
+/// Spawn the polling thread for `watch`, calling `on_change` with the
+/// path whenever the file's bytes change.
 pub(crate) fn spawn_watcher<F>(
-    name: &str,
-    metric: &str,
-    path: PathBuf,
-    poll: Duration,
-    initial: Option<Fingerprint>,
+    watch: Watch,
     obs: Observer,
     on_change: F,
     shutdown: Arc<AtomicBool>,
@@ -67,6 +77,13 @@ pub(crate) fn spawn_watcher<F>(
 where
     F: Fn(&Path) + Send + 'static,
 {
+    let Watch {
+        name,
+        metric,
+        path,
+        poll,
+        initial,
+    } = watch;
     let skip_counter = format!("{metric}.polls.skipped");
     std::thread::Builder::new()
         .name(name.into())

@@ -20,14 +20,13 @@ use std::collections::{HashMap, HashSet};
 
 use asdb::AsDatabase;
 use netaddr::{Asn, Block24, BlockId};
-use serde::{Deserialize, Serialize};
 
 use crate::asid::{identify_cellular_ases, AsAggregate, AsFilterOutcome, FilterConfig};
 use crate::classify::Classification;
 use crate::index::BlockIndex;
 
 /// How an ASN-granularity classifier decides that a whole AS is cellular.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AsnStrategy {
     /// Any detected cellular block makes the AS cellular (the §5
     /// straw-man).
@@ -39,7 +38,7 @@ pub enum AsnStrategy {
 }
 
 /// Result of replacing block-level labels with AS-level labels.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AsnLevelAblation {
     /// Strategy used.
     pub strategy: AsnStrategy,
@@ -110,7 +109,7 @@ pub fn asn_level_ablation(
 }
 
 /// Result of re-aggregating IPv4 beacons at a shorter prefix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GranularityAblation {
     /// Prefix length used (24 − merge shift).
     pub prefix_len: u8,
@@ -183,7 +182,7 @@ pub fn granularity_ablation(
 }
 
 /// Outcomes of disabling one AS-filter rule at a time.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RuleAblation {
     /// The baseline (all rules active).
     pub baseline: AsFilterOutcome,

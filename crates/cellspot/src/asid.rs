@@ -5,13 +5,12 @@ use std::collections::HashMap;
 
 use asdb::AsDatabase;
 use netaddr::Asn;
-use serde::{Deserialize, Serialize};
 
 use crate::classify::Classification;
 use crate::index::BlockIndex;
 
 /// Per-AS aggregate of the joined observations.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AsAggregate {
     /// Blocks observed in either dataset.
     pub blocks: usize,
@@ -102,7 +101,7 @@ pub fn aggregate_by_as(
 }
 
 /// Thresholds for the three AS-filter rules (§5.1).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FilterConfig {
     /// Rule 1: minimum cumulative cellular demand, in DU (paper: 0.1).
     pub min_cell_du: f64,
@@ -121,7 +120,7 @@ impl Default for FilterConfig {
 }
 
 /// The outcome of the §5 pipeline — Table 5's rows.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AsFilterOutcome {
     /// Straw-man candidates: every AS with ≥ 1 cellular-labeled block.
     pub candidates: Vec<Asn>,

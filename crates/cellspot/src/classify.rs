@@ -8,7 +8,6 @@
 //! almost never as false positives.
 
 use netaddr::{Asn, BlockId};
-use serde::{Deserialize, Serialize};
 
 use crate::index::BlockIndex;
 use crate::stats::Ecdf;
@@ -17,7 +16,7 @@ use crate::stats::Ecdf;
 pub const DEFAULT_THRESHOLD: f64 = 0.5;
 
 /// The set of blocks labeled cellular at a given threshold.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Classification {
     /// The ratio threshold used.
     pub threshold: f64,
@@ -76,7 +75,7 @@ impl Classification {
 
 /// Fig. 2's four distributions: cellular-ratio CDFs for IPv4 and IPv6
 /// blocks, by subnet count and weighted by demand.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RatioDistributions {
     /// CDF of ratios over IPv4 blocks.
     pub v4_subnets: Ecdf,

@@ -14,8 +14,6 @@
 //! `ext-confidence` experiment reports how much of the cellular set and
 //! its demand survives increasingly strict evidence levels.
 
-use serde::{Deserialize, Serialize};
-
 use crate::index::BlockIndex;
 
 /// Wilson score interval for a binomial proportion: the range of true
@@ -39,7 +37,7 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
 }
 
 /// A block's evidence-aware label.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfidentLabel {
     /// The Wilson lower bound clears the threshold.
     Cellular,
@@ -50,7 +48,7 @@ pub enum ConfidentLabel {
 }
 
 /// Aggregate outcome of confidence-aware classification.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ConfidenceSummary {
     /// Confidence parameter used.
     pub z: f64,

@@ -6,7 +6,6 @@ use std::collections::HashMap;
 
 use asdb::AsDatabase;
 use netaddr::{Asn, CountryCode};
-use serde::{Deserialize, Serialize};
 
 use crate::asid::AsAggregate;
 use crate::classify::Classification;
@@ -15,7 +14,7 @@ use crate::mixed::MixedAnalysis;
 use crate::stats::{count_for_share, top_k_share};
 
 /// One row of the ranked operator table.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RankedAs {
     /// Rank, 1-based.
     pub rank: usize,
@@ -30,7 +29,7 @@ pub struct RankedAs {
 }
 
 /// Fig. 7 / Table 7: cellular demand ranked across operators.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AsDemandRanking {
     /// All cellular ASes in descending demand order.
     pub rows: Vec<RankedAs>,
@@ -77,7 +76,7 @@ impl AsDemandRanking {
 
 /// Fig. 8: demand of an operator's subnets ranked within each access
 /// label.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SubnetDemandProfile {
     /// The AS.
     pub asn: Asn,

@@ -4,7 +4,6 @@
 use std::collections::{HashMap, HashSet};
 
 use netaddr::Asn;
-use serde::{Deserialize, Serialize};
 
 use dnssim::{DnsSim, PublicDns, ResolverKind, PUBLIC_DNS_SERVICES};
 
@@ -13,7 +12,7 @@ use crate::index::BlockIndex;
 use crate::stats::Ecdf;
 
 /// Demand attributed to one resolver, split by the classifier's labels.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResolverDemand {
     /// DU from cellular-labeled client blocks.
     pub cell_du: f64,
@@ -34,7 +33,7 @@ impl ResolverDemand {
 }
 
 /// §6.3 analysis output.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DnsAnalysis {
     /// Per-resolver demand attribution (indexed like `DnsSim::resolvers`).
     pub per_resolver: Vec<ResolverDemand>,
@@ -168,7 +167,7 @@ impl DnsAnalysis {
 }
 
 /// Per-AS public DNS usage.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PublicDnsUsage {
     /// Total attributed demand, DU.
     pub total_du: f64,

@@ -6,14 +6,13 @@
 //! reverse for ephemeral IPv6 space).
 
 use netaddr::{Asn, BlockId};
-use serde::{Deserialize, Serialize};
 
 use cdnsim::{BeaconDataset, DemandDataset};
 
 use crate::error::CellspotError;
 
 /// One block's joined observation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BlockObs {
     /// The block.
     pub block: BlockId,
@@ -42,7 +41,7 @@ impl BlockObs {
 }
 
 /// The joined dataset, sorted by block id.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BlockIndex {
     blocks: Vec<BlockObs>,
 }
@@ -292,9 +291,8 @@ mod tests {
         assert!(o1.du > 0.0);
 
         // Strict build rejects, naming the block and both labels.
-        let err = BlockIndex::try_build(&beacons, &dem)
-            .err()
-            .expect("mismatched ASN must be rejected");
+        let err =
+            BlockIndex::try_build(&beacons, &dem).expect_err("mismatched ASN must be rejected");
         let msg = err.to_string();
         assert!(msg.contains("AS1"), "beacon label in {msg:?}");
         assert!(msg.contains("AS7"), "demand label in {msg:?}");

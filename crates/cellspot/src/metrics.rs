@@ -3,13 +3,12 @@
 //! weighted by each block's traffic demand.
 
 use asdb::{AccessType, CarrierGroundTruth};
-use serde::{Deserialize, Serialize};
 
 use crate::classify::Classification;
 use crate::index::BlockIndex;
 
 /// A (possibly demand-weighted) confusion matrix.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Confusion {
     /// Ground-truth cellular, classified cellular.
     pub tp: f64,
@@ -66,7 +65,7 @@ impl Confusion {
 
 /// One carrier's Table 3 row pair: CIDR-count and demand-weighted
 /// confusion matrices.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CarrierValidation {
     /// Carrier codename.
     pub carrier: String,

@@ -5,7 +5,6 @@
 use std::collections::HashMap;
 
 use netaddr::Asn;
-use serde::{Deserialize, Serialize};
 
 use crate::asid::AsAggregate;
 use crate::index::BlockIndex;
@@ -15,7 +14,7 @@ use crate::stats::Ecdf;
 pub const DEDICATED_CFD: f64 = 0.9;
 
 /// One cellular AS's §6.1 classification.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MixedVerdict {
     /// The AS.
     pub asn: Asn,
@@ -30,7 +29,7 @@ pub struct MixedVerdict {
 }
 
 /// §6.1 results across the cellular AS set.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MixedAnalysis {
     /// Per-AS verdicts, sorted by descending cellular demand.
     pub verdicts: Vec<MixedVerdict>,
@@ -113,7 +112,7 @@ impl MixedAnalysis {
 /// Fig. 6's per-AS breakdown: CDFs over the cellular ratio axis of (a)
 /// the fraction of the AS's blocks at or below each ratio and (b) the
 /// fraction of the AS's demand at or below each ratio.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AsRatioBreakdown {
     /// The AS.
     pub asn: Asn,

@@ -5,7 +5,6 @@
 
 use asdb::{AsDatabase, CarrierGroundTruth};
 use cellobs::Observer;
-use serde::{Deserialize, Serialize};
 
 use cdnsim::{BeaconDataset, DemandDataset};
 use dnssim::DnsSim;
@@ -25,7 +24,7 @@ use crate::threads::{configure_threads, resolve_threads};
 use crate::world_view::WorldView;
 
 /// Knobs for a full study run (defaults are the paper's choices).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StudyConfig {
     /// Cellular-ratio threshold (paper: 0.5).
     pub threshold: f64,
@@ -97,7 +96,7 @@ impl StudyConfig {
 
 /// Everything the study produces. Field by field this maps onto the
 /// paper's tables and figures; the `report` crate renders them.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Study {
     /// Configuration used.
     pub config: StudyConfig,
@@ -112,7 +111,6 @@ pub struct Study {
     /// Fig. 3's sensitivity curves.
     pub sweeps: Vec<SweepCurve>,
     /// Per-AS aggregates.
-    #[serde(with = "serde_asn_map")]
     pub as_aggregates: std::collections::HashMap<netaddr::Asn, AsAggregate>,
     /// §5's filter pipeline outcome (Table 5).
     pub filter: AsFilterOutcome,
@@ -124,35 +122,6 @@ pub struct Study {
     pub dns: Option<DnsAnalysis>,
     /// §7's geographic rollups (Tables 4/8, Figs. 11/12).
     pub view: WorldView,
-}
-
-/// JSON maps require string keys, so the per-AS aggregate map serializes
-/// as a sorted vector of `(asn, aggregate)` pairs.
-mod serde_asn_map {
-    use std::collections::HashMap;
-
-    use netaddr::Asn;
-    use serde::de::Deserializer;
-    use serde::ser::Serializer;
-    use serde::{Deserialize, Serialize};
-
-    use crate::asid::AsAggregate;
-
-    pub fn serialize<S: Serializer>(
-        map: &HashMap<Asn, AsAggregate>,
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        let mut pairs: Vec<(&Asn, &AsAggregate)> = map.iter().collect();
-        pairs.sort_by_key(|(asn, _)| **asn);
-        pairs.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<HashMap<Asn, AsAggregate>, D::Error> {
-        let pairs: Vec<(Asn, AsAggregate)> = Vec::deserialize(d)?;
-        Ok(pairs.into_iter().collect())
-    }
 }
 
 /// Builder for a full study run: the one public entry point for the
@@ -604,17 +573,25 @@ mod tests {
     #[test]
     fn config_validation_rejects_bad_knobs() {
         assert!(StudyConfig::default().validate().is_ok());
-        let mut c = StudyConfig::default();
-        c.threshold = 1.5;
+        let c = StudyConfig {
+            threshold: 1.5,
+            ..Default::default()
+        };
         assert!(matches!(c.validate(), Err(CellspotError::Config(_))));
-        let mut c = StudyConfig::default();
-        c.dedicated_cfd = -0.1;
+        let c = StudyConfig {
+            dedicated_cfd: -0.1,
+            ..Default::default()
+        };
         assert!(c.validate().is_err());
-        let mut c = StudyConfig::default();
-        c.min_cell_du = f64::NAN;
+        let c = StudyConfig {
+            min_cell_du: f64::NAN,
+            ..Default::default()
+        };
         assert!(c.validate().is_err());
-        let mut c = StudyConfig::default();
-        c.sweep_steps = 0;
+        let c = StudyConfig {
+            sweep_steps: 0,
+            ..Default::default()
+        };
         assert!(c.validate().is_err());
     }
 

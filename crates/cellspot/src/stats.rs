@@ -1,14 +1,12 @@
 //! Small statistics toolkit: empirical CDFs (optionally weighted),
 //! quantiles, and concentration measures used across the analyses.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over `f64` samples, optionally weighted.
 ///
 /// Construction sorts once; evaluation is a binary search. Weighted CDFs
 /// are what the paper plots when it weights subnets by their demand
 /// (Fig. 2's "IPv4 Demand" curve vs. "IPv4 Subnets").
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Ecdf {
     /// Sample values, ascending.
     values: Vec<f64>,

@@ -2,14 +2,13 @@
 //! carrier ground truth across the whole range of ratio thresholds.
 
 use asdb::CarrierGroundTruth;
-use serde::{Deserialize, Serialize};
 
 use crate::classify::Classification;
 use crate::index::BlockIndex;
 use crate::metrics::{validate_carrier, CarrierValidation};
 
 /// One point of a sensitivity curve.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SweepPoint {
     /// Ratio threshold.
     pub threshold: f64,
@@ -25,7 +24,7 @@ pub struct SweepPoint {
 }
 
 /// A carrier's full sensitivity curve.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepCurve {
     /// Carrier codename.
     pub carrier: String,

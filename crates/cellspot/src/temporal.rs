@@ -6,13 +6,12 @@
 use std::collections::HashSet;
 
 use netaddr::BlockId;
-use serde::{Deserialize, Serialize};
 
 use crate::classify::Classification;
 use crate::index::BlockIndex;
 
 /// Stability of the cellular set between two consecutive months.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MonthTransition {
     /// Month index of the later snapshot.
     pub month: u32,
@@ -45,7 +44,7 @@ impl MonthTransition {
 }
 
 /// A multi-month stability study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TemporalAnalysis {
     /// One transition per consecutive month pair.
     pub transitions: Vec<MonthTransition>,

@@ -6,13 +6,12 @@ use std::collections::HashMap;
 
 use asdb::AsDatabase;
 use netaddr::{ituc_subscribers_millions, Asn, Continent, CountryCode, CONTINENTS};
-use serde::{Deserialize, Serialize};
 
 use crate::classify::Classification;
 use crate::index::BlockIndex;
 
 /// One continent's Table 4 row.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ContinentSubnets {
     /// Cellular /24 blocks detected.
     pub cell24: usize,
@@ -45,7 +44,7 @@ impl ContinentSubnets {
 }
 
 /// One continent's Table 8 row.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ContinentDemand {
     /// Cellular DU.
     pub cell_du: f64,
@@ -65,7 +64,7 @@ impl ContinentDemand {
 }
 
 /// One country's rollup (Fig. 11 / Fig. 12).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CountryDemand {
     /// Cellular DU.
     pub cell_du: f64,
@@ -87,7 +86,7 @@ impl CountryDemand {
 }
 
 /// The geographic rollup of a classified world.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorldView {
     /// Table 4 rows, indexed in `CONTINENTS` order.
     pub subnets: [ContinentSubnets; 6],
@@ -257,7 +256,7 @@ pub fn continent_rows(view: &WorldView) -> Vec<(Continent, ContinentSubnets, Con
 
 /// §4.3's IPv6 deployment findings: how many cellular ASes expose IPv6
 /// cellular space, across how many countries, and which countries lead.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct V6Deployment {
     /// Cellular ASes with at least one cellular /48 detected.
     pub v6_ases: usize,

@@ -12,7 +12,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use netaddr::{Asn, BlockId};
-use serde::{Deserialize, Serialize};
 
 use cdnsim::{
     BeaconDataset, BeaconRecord, DemandDataset, DemandRecord, EventSource, SourceError,
@@ -25,9 +24,9 @@ use crate::shard::{ShardRouter, ShardState};
 use crate::snapshot::Snapshot;
 use crate::spacesaving::{HeavyHitter, SpaceSaving};
 
-/// Ingest knobs. Serialized into every snapshot so a restore can verify
+/// Ingest knobs. Written into every snapshot so a restore can verify
 /// it resumes with the state layout it was checkpointed under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Number of shards the stream is partitioned over.
     pub shards: u32,
@@ -214,7 +213,7 @@ impl ResolverMap {
 }
 
 /// Distinct-client estimate for one resolver.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResolverClients {
     /// Resolver id.
     pub resolver: u32,
@@ -225,7 +224,7 @@ pub struct ResolverClients {
 }
 
 /// Sketch-derived outputs of a finished (or partial) stream.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SketchReport {
     /// Per-resolver distinct-client estimates, sorted by resolver id.
     pub resolver_clients: Vec<ResolverClients>,
@@ -617,8 +616,8 @@ impl IngestEngine {
     }
 
     /// Checkpoint the engine's complete state at the current epoch
-    /// boundary. Serialization is canonical: the same engine state always
-    /// produces byte-identical JSON.
+    /// boundary. The encoding is canonical: the same engine state always
+    /// seals to identical bytes ([`Snapshot::to_bytes`]).
     ///
     /// # Panics
     /// Panics when the engine is poisoned or crashed — checkpointing

@@ -2,25 +2,33 @@
 //! in the workspace's house style — the `thiserror` derive is
 //! deliberately not a dependency).
 //!
-//! The fine-grained enums ([`IngestError`], [`IntegrityError`],
-//! [`ChaosError`]) stay on the functions that produce them; this type is
-//! the one a caller driving the whole subsystem (the CLI's `stream`
-//! subcommand) matches on, with `From` conversions from each layer.
+//! The fine-grained enums ([`IngestError`], [`ChaosError`]) stay on the
+//! functions that produce them; this type is the one a caller driving
+//! the whole subsystem (the CLI's `stream` subcommand) matches on, with
+//! `From` conversions from each layer. It is also what the checkpoint
+//! decoder ([`crate::Snapshot::from_bytes`]) refuses bytes with.
 
 use std::fmt;
 use std::io;
 
+use cellseal::SealError;
+
 use crate::engine::IngestError;
 use crate::faultsim::ChaosError;
-use crate::integrity::IntegrityError;
 
 /// Why a streaming run could not complete.
 #[derive(Debug)]
 pub enum StreamError {
     /// The ingest engine refused or failed an operation.
     Ingest(IngestError),
-    /// A checkpoint failed integrity verification.
-    Integrity(IntegrityError),
+    /// A checkpoint failed its seal (too short, wrong length, CRC
+    /// mismatch) or its body ended early or late.
+    Integrity(SealError),
+    /// A checkpoint passed its seal but breaks an invariant of the
+    /// format.
+    Corrupt(String),
+    /// A checkpoint from a newer format version.
+    UnsupportedVersion(u32),
     /// A fault-injected (chaos) run could not be supervised to the end.
     Chaos(ChaosError),
     /// Checkpoint or plan I/O failed.
@@ -32,6 +40,10 @@ impl fmt::Display for StreamError {
         match self {
             StreamError::Ingest(e) => write!(f, "ingest error: {e}"),
             StreamError::Integrity(e) => write!(f, "checkpoint integrity error: {e}"),
+            StreamError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
+            StreamError::UnsupportedVersion(v) => {
+                write!(f, "unsupported checkpoint version {v}")
+            }
             StreamError::Chaos(e) => write!(f, "chaos run failed: {e}"),
             StreamError::Io(e) => write!(f, "stream I/O error: {e}"),
         }
@@ -43,6 +55,7 @@ impl std::error::Error for StreamError {
         match self {
             StreamError::Ingest(e) => Some(e),
             StreamError::Integrity(e) => Some(e),
+            StreamError::Corrupt(_) | StreamError::UnsupportedVersion(_) => None,
             StreamError::Chaos(e) => Some(e),
             StreamError::Io(e) => Some(e),
         }
@@ -55,8 +68,8 @@ impl From<IngestError> for StreamError {
     }
 }
 
-impl From<IntegrityError> for StreamError {
-    fn from(e: IntegrityError) -> Self {
+impl From<SealError> for StreamError {
+    fn from(e: SealError) -> Self {
         StreamError::Integrity(e)
     }
 }
@@ -83,8 +96,9 @@ mod tests {
         assert!(e.to_string().contains("ingest error"));
         assert!(std::error::Error::source(&e).is_some());
 
-        let e: StreamError = IntegrityError::MissingFooter.into();
+        let e: StreamError = SealError::TrailerMagic.into();
         assert!(e.to_string().contains("integrity"));
+        assert!(std::error::Error::source(&e).is_some());
 
         let e: StreamError = ChaosError::RestartsExhausted { limit: 2 }.into();
         assert!(e.to_string().contains("chaos"));

@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the streaming ingest path.
 //!
-//! A [`FaultPlan`] is a serializable list of faults pinned to exact
+//! A [`FaultPlan`] is a list of faults, read from JSON, pinned to exact
 //! stream offsets — "crash the process after 500 events of epoch 3",
 //! "flip two bits in the epoch-4 checkpoint" — so a chaos run is fully
 //! reproducible from `(world seed, fault plan)` alone: no wall clocks,
@@ -29,9 +29,8 @@ use std::io;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use cdnsim::{EpochGate, EventSource, SourceError, SourceErrorKind};
+use cellobs::json::Json;
 
 use crate::engine::{
     FoldAction, IngestEngine, IngestError, IngestObserver, ResolverMap, StreamConfig,
@@ -44,7 +43,7 @@ use crate::integrity::{CheckpointStore, RecoveryOutcome};
 /// Event counts are *within-epoch* offsets counted before the triggering
 /// event, so `after_events: 0` fires before the first event (an epoch
 /// boundary) and `after_events: n` fires once `n` events were counted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Kill the whole process mid-epoch: the epoch does not complete and
     /// a restart must restore from the last good checkpoint.
@@ -100,9 +99,10 @@ pub enum Fault {
 }
 
 /// A reproducible chaos scenario: a seed (drives bit-flip offsets) plus
-/// the faults to inject. Serialized as JSON for the `stream
-/// --fault-plan` CLI flag.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// the faults to inject. Read from JSON for the `stream --fault-plan`
+/// CLI flag, each fault an object keyed by its kind:
+/// `{"seed":9,"faults":[{"Crash":{"epoch":2,"after_events":100}}]}`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed for fault-internal randomness (checkpoint bit-flip offsets).
     pub seed: u64,
@@ -110,27 +110,145 @@ pub struct FaultPlan {
     pub faults: Vec<Fault>,
 }
 
-impl FaultPlan {
-    /// Pretty JSON encoding (newline-terminated).
-    pub fn to_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("fault plan serialization is total");
-        s.push('\n');
-        s
-    }
+const U32: u64 = u32::MAX as u64;
 
-    /// Parse a plan from JSON.
+/// The members of the object `value`, which must be exactly `keys`.
+fn members<'a, const N: usize>(
+    value: &'a Json,
+    what: &str,
+    keys: [&str; N],
+) -> Result<[&'a Json; N], String> {
+    let Json::Obj(object) = value else {
+        return Err(format!("{what}: expected an object, got {value}"));
+    };
+    if let Some((unknown, _)) = object.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        let expected = keys.join(", ");
+        return Err(format!(
+            "{what}: unknown field {unknown:?} (expected {expected})"
+        ));
+    }
+    if let Some(missing) = keys.iter().find(|key| value[**key] == Json::Null) {
+        return Err(format!("{what}: missing field {missing:?}"));
+    }
+    Ok(keys.map(|key| &value[key]))
+}
+
+/// `value` as the integer field `key`, at most `max`.
+fn uint(value: &Json, what: &str, key: &str, max: u64) -> Result<u64, String> {
+    match value {
+        Json::Int(n) if *n <= max => Ok(*n),
+        _ => Err(format!(
+            "{what}: field {key:?} must be an integer in 0..={max}, got {value}"
+        )),
+    }
+}
+
+/// The fields `keys` of the fault body `body`, each with its maximum;
+/// every field of every fault is an unsigned integer.
+fn fields<const N: usize>(
+    body: &Json,
+    kind: &str,
+    keys: [(&str, u64); N],
+) -> Result<[u64; N], String> {
+    let values = members(body, kind, keys.map(|(key, _)| key))?;
+    let mut out = [0; N];
+    for ((slot, value), (key, max)) in out.iter_mut().zip(values).zip(keys) {
+        *slot = uint(value, kind, key, max)?;
+    }
+    Ok(out)
+}
+
+impl Fault {
+    /// One fault from its externally tagged form, `{"<Kind>": {fields}}`.
+    fn from_json(value: &Json) -> Result<Fault, String> {
+        let Json::Obj(tagged) = value else {
+            return Err(format!("expected an object, got {value}"));
+        };
+        let [(kind, body)] = tagged.as_slice() else {
+            return Err(format!("expected one key, the fault kind, got {value}"));
+        };
+        Ok(match kind.as_str() {
+            "Crash" => {
+                let [epoch, after_events] =
+                    fields(body, kind, [("epoch", U32), ("after_events", u64::MAX)])?;
+                Fault::Crash {
+                    epoch: epoch as u32,
+                    after_events,
+                }
+            }
+            "ShardKill" => {
+                let [epoch, shard, after_events] = fields(
+                    body,
+                    kind,
+                    [("epoch", U32), ("shard", U32), ("after_events", u64::MAX)],
+                )?;
+                Fault::ShardKill {
+                    epoch: epoch as u32,
+                    shard: shard as u32,
+                    after_events,
+                }
+            }
+            "TruncateCheckpoint" => {
+                let [epoch, keep_bytes] =
+                    fields(body, kind, [("epoch", U32), ("keep_bytes", u64::MAX)])?;
+                Fault::TruncateCheckpoint {
+                    epoch: epoch as u32,
+                    keep_bytes,
+                }
+            }
+            "FlipCheckpointBytes" => {
+                let [epoch, flips] = fields(body, kind, [("epoch", U32), ("flips", U32)])?;
+                Fault::FlipCheckpointBytes {
+                    epoch: epoch as u32,
+                    flips: flips as u32,
+                }
+            }
+            "SourceStall" => {
+                let [epoch, times] = fields(body, kind, [("epoch", U32), ("times", U32)])?;
+                Fault::SourceStall {
+                    epoch: epoch as u32,
+                    times: times as u32,
+                }
+            }
+            "SourceFail" => {
+                let [epoch] = fields(body, kind, [("epoch", U32)])?;
+                Fault::SourceFail {
+                    epoch: epoch as u32,
+                }
+            }
+            other => return Err(format!("unknown fault kind {other:?}")),
+        })
+    }
+}
+
+impl FaultPlan {
+    /// Parse a plan from JSON, strictly: an unknown fault kind, an
+    /// unknown, duplicate or missing field, or an integer out of its
+    /// field's range is an error naming the offender — a misspelt plan
+    /// must not run as a different scenario.
     pub fn from_json(json: &str) -> io::Result<Self> {
-        serde_json::from_str(json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let parse = || -> Result<FaultPlan, String> {
+            let doc = Json::parse(json)?;
+            let [seed, faults] = members(&doc, "fault plan", ["seed", "faults"])?;
+            let seed = uint(seed, "fault plan", "seed", u64::MAX)?;
+            let Json::Arr(faults) = faults else {
+                return Err(format!(
+                    "fault plan: field \"faults\" must be an array, got {faults}"
+                ));
+            };
+            let faults = faults
+                .iter()
+                .enumerate()
+                .map(|(i, fault)| Fault::from_json(fault).map_err(|e| format!("fault {i}: {e}")))
+                .collect::<Result<_, _>>()?;
+            Ok(FaultPlan { seed, faults })
+        };
+        parse().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Load a plan from a JSON file.
     pub fn read_from(path: &Path) -> io::Result<Self> {
         Self::from_json(&fs::read_to_string(path)?)
-    }
-
-    /// Write the plan to a JSON file.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        fs::write(path, self.to_json())
     }
 }
 
@@ -530,30 +648,137 @@ mod tests {
     }
 
     #[test]
-    fn plan_roundtrips_through_json() {
+    fn plans_parse_strictly() {
+        // README §Deterministic fault injection, verbatim.
+        let readme = r#"
+  { "seed": 9,
+    "faults": [ { "Crash":               { "epoch": 2, "after_events": 100 } },
+                { "ShardKill":           { "epoch": 3, "shard": 1, "after_events": 30 } },
+                { "FlipCheckpointBytes": { "epoch": 2, "flips": 2 } },
+                { "TruncateCheckpoint":  { "epoch": 1, "keep_bytes": 64 } },
+                { "SourceStall":         { "epoch": 0, "times": 3 } } ] }
+"#;
         let plan = FaultPlan {
-            seed: 42,
+            seed: 9,
             faults: vec![
                 Fault::Crash {
-                    epoch: 3,
-                    after_events: 500,
+                    epoch: 2,
+                    after_events: 100,
                 },
                 Fault::ShardKill {
-                    epoch: 1,
-                    shard: 0,
-                    after_events: 50,
+                    epoch: 3,
+                    shard: 1,
+                    after_events: 30,
                 },
+                Fault::FlipCheckpointBytes { epoch: 2, flips: 2 },
                 Fault::TruncateCheckpoint {
-                    epoch: 2,
-                    keep_bytes: 100,
+                    epoch: 1,
+                    keep_bytes: 64,
                 },
-                Fault::FlipCheckpointBytes { epoch: 4, flips: 2 },
                 Fault::SourceStall { epoch: 0, times: 3 },
-                Fault::SourceFail { epoch: 5 },
             ],
         };
-        let json = plan.to_json();
-        assert_eq!(FaultPlan::from_json(&json).expect("parses"), plan);
+        assert_eq!(FaultPlan::from_json(readme).expect("parses"), plan);
+        // Field order is free, and every integer reaches its type's maximum.
+        let extremes = r#"{"faults":[{"SourceFail":{"epoch":4294967295}},
+            {"Crash":{"after_events":18446744073709551615,"epoch":0}}],
+            "seed":18446744073709551615}"#;
+        assert_eq!(
+            FaultPlan::from_json(extremes).expect("parses"),
+            FaultPlan {
+                seed: u64::MAX,
+                faults: vec![
+                    Fault::SourceFail { epoch: u32::MAX },
+                    Fault::Crash {
+                        epoch: 0,
+                        after_events: u64::MAX,
+                    },
+                ],
+            }
+        );
+        assert_eq!(
+            FaultPlan::from_json(r#"{"seed":0,"faults":[]}"#).expect("parses"),
+            FaultPlan::default()
+        );
+
+        // A plan that says something else than it means is refused, and
+        // the error names the offender.
+        for (json, offender) in [
+            (r#"{"seed":1,"fault":[]}"#, r#"unknown field "fault""#),
+            (r#"{"seed":1}"#, r#"missing field "faults""#),
+            (r#"{"faults":[]}"#, r#"missing field "seed""#),
+            (
+                r#"{"seed":1,"faults":[],"seed":2}"#,
+                r#"duplicate key "seed""#,
+            ),
+            (r#"{"seed":-1,"faults":[]}"#, r#"field "seed""#),
+            (
+                r#"{"seed":1,"faults":{}}"#,
+                r#"field "faults" must be an array"#,
+            ),
+            (r#"[]"#, "fault plan: expected an object"),
+            (
+                r#"{"seed":1,"faults":[{"Crash":{"epoch":2,"after_event":0,"after_events":9}}]}"#,
+                r#"fault 0: Crash: unknown field "after_event""#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"SourceFail":{"epoch":1}},{"Crash":{"epoch":2}}]}"#,
+                r#"fault 1: Crash: missing field "after_events""#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"Crash":{"epoch":2,"epoch":3,"after_events":0}}]}"#,
+                r#"duplicate key "epoch""#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"Meteor":{"epoch":2}}]}"#,
+                r#"fault 0: unknown fault kind "Meteor""#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"crash":{"epoch":2,"after_events":0}}]}"#,
+                r#"unknown fault kind "crash""#,
+            ),
+            (
+                r#"{"seed":1,"faults":["Crash"]}"#,
+                r#"fault 0: expected an object, got "Crash""#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"SourceFail":{"epoch":1},"SourceStall":{"epoch":1,"times":1}}]}"#,
+                "fault 0: expected one key, the fault kind",
+            ),
+            (
+                r#"{"seed":1,"faults":[{"SourceFail":7}]}"#,
+                "SourceFail: expected an object, got 7",
+            ),
+            (
+                r#"{"seed":1,"faults":[{"SourceFail":{"epoch":null}}]}"#,
+                r#"SourceFail: missing field "epoch""#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"SourceFail":{"epoch":1099511627776}}]}"#,
+                r#"field "epoch" must be an integer in 0..=4294967295, got 1099511627776"#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"SourceStall":{"epoch":1,"times":-3}}]}"#,
+                r#"field "times" must be an integer in 0..=4294967295, got -3.0"#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"Crash":{"epoch":1,"after_events":2.5}}]}"#,
+                r#"field "after_events" must be an integer in 0..=18446744073709551615, got 2.5"#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"Crash":{"epoch":1,"after_events":18446744073709551616}}]}"#,
+                r#"field "after_events""#,
+            ),
+            (
+                r#"{"seed":1,"faults":[{"ShardKill":{"epoch":1,"shard":"0","after_events":1}}]}"#,
+                r#"field "shard" must be an integer"#,
+            ),
+            (r#"{"seed":1,"faults":[]} trailing"#, "trailing characters"),
+        ] {
+            let err = FaultPlan::from_json(json).expect_err(json);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{json}");
+            assert!(err.to_string().contains(offender), "{json}: {err}");
+        }
     }
 
     #[test]
@@ -609,7 +834,7 @@ mod tests {
         let dir = scratch_dir("faultsim_tamper");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("ckpt-ep000002.json");
+        let path = dir.join("ckpt-ep000002.ckpt");
         let plan = FaultPlan {
             seed: 7,
             faults: vec![Fault::FlipCheckpointBytes { epoch: 2, flips: 2 }],
@@ -685,7 +910,7 @@ mod tests {
         let dir = scratch_dir("faultsim_poison");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("ckpt-ep000005.json");
+        let path = dir.join("ckpt-ep000005.ckpt");
         fs::write(&path, "0123456789\n").expect("write");
         assert_eq!(injector.tamper_checkpoint(5, &path).expect("tamper"), 1);
         assert_eq!(fs::read(&path).expect("read"), b"01");
@@ -711,11 +936,11 @@ mod tests {
         let source = EventSource::new(&world, CdnConfig::default(), epochs);
         let mut reference = IngestEngine::for_source(cfg, &source, resolvers.clone());
         reference.run_to_end(&source);
-        let want = reference.snapshot().to_json();
+        let want = reference.snapshot();
 
         // A chaos run whose injector was poisoned by a holder's panic
         // *before* the supervisor ever touches it: the kill still fires,
-        // the shard is rebuilt, and the result is byte-identical.
+        // the shard is rebuilt, and the result is identical.
         let injector = Arc::new(FaultInjector::new(FaultPlan {
             seed: 11,
             faults: vec![Fault::ShardKill {
@@ -733,7 +958,7 @@ mod tests {
         let (engine, report) =
             run_chaos(&source, cfg, &resolvers, &store, &injector, 4).expect("chaos run recovers");
         assert_eq!(report.shard_recoveries, 1, "the kill fired and recovered");
-        assert_eq!(engine.snapshot().to_json(), want, "byte-identical result");
+        assert_eq!(engine.snapshot(), want, "identical result");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,7 +10,9 @@
 //! sketches merged at snapshot time equal the single-shard sketch bit for
 //! bit, regardless of shard count.
 
-use serde::{Deserialize, Serialize};
+use cellseal::Reader;
+
+use crate::error::StreamError;
 
 /// Lowest supported precision (16 registers).
 pub const MIN_PRECISION: u8 = 4;
@@ -18,7 +20,7 @@ pub const MIN_PRECISION: u8 = 4;
 pub const MAX_PRECISION: u8 = 16;
 
 /// A HyperLogLog sketch with `2^precision` registers.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HyperLogLog {
     precision: u8,
     registers: Vec<u8>,
@@ -126,6 +128,37 @@ impl HyperLogLog {
     pub fn state_bytes(&self) -> usize {
         self.registers.len()
     }
+
+    /// Checkpoint encoding: the precision byte, then the `2^precision`
+    /// registers.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.precision);
+        out.extend_from_slice(&self.registers);
+    }
+
+    /// Decode what [`encode`](Self::encode) wrote, refusing a precision
+    /// [`new`](Self::new) would panic on and register values no hash can
+    /// produce (a rank above `64 - precision + 1` would overflow the
+    /// shift in [`estimate`](Self::estimate)).
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, StreamError> {
+        let precision = r.u8()?;
+        if !(MIN_PRECISION..=MAX_PRECISION).contains(&precision) {
+            return Err(StreamError::Corrupt(format!(
+                "hll precision {precision} outside {MIN_PRECISION}..={MAX_PRECISION}"
+            )));
+        }
+        let registers = r.take(1 << precision)?.to_vec();
+        let max_rank = 64 - precision + 1;
+        if let Some(rank) = registers.iter().find(|&&rank| rank > max_rank) {
+            return Err(StreamError::Corrupt(format!(
+                "hll register holds rank {rank}, above {max_rank} at precision {precision}"
+            )));
+        }
+        Ok(HyperLogLog {
+            precision,
+            registers,
+        })
+    }
 }
 
 /// Bias-correction constant `alpha_m`.
@@ -219,6 +252,41 @@ mod tests {
         let before = ab.clone();
         ab.merge(&before.clone());
         assert_eq!(ab, before, "self-merge must not change the sketch");
+    }
+
+    #[test]
+    fn decode_refuses_sketches_no_stream_produces() {
+        let mut h = HyperLogLog::new(4);
+        h.insert_u64(7);
+        let mut bytes = Vec::new();
+        h.encode(&mut bytes);
+        assert_eq!(bytes.len(), 1 + 16);
+        let decode = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            HyperLogLog::decode(&mut r).map(|h| (h, r.finish()))
+        };
+        assert!(matches!(decode(&bytes), Ok((back, Ok(()))) if back == h));
+
+        for precision in [0, MIN_PRECISION - 1, MAX_PRECISION + 1, u8::MAX] {
+            let mut bad = bytes.clone();
+            bad[0] = precision;
+            assert!(
+                matches!(decode(&bad), Err(StreamError::Corrupt(why)) if why.contains("precision")),
+                "precision {precision}"
+            );
+        }
+        // Rank 61 is the most 60 hash bits can show; 62 would later
+        // overflow the shift in `estimate`.
+        let mut bad = bytes.clone();
+        bad[1] = 61;
+        assert!(decode(&bad).is_ok());
+        bad[1] = 62;
+        assert!(matches!(decode(&bad), Err(StreamError::Corrupt(why)) if why.contains("rank 62")));
+        // Fewer registers than the precision promises.
+        assert!(matches!(
+            decode(&bytes[..16]),
+            Err(StreamError::Integrity(cellseal::SealError::Truncated))
+        ));
     }
 
     #[test]

@@ -18,15 +18,16 @@
 //!   [`SpaceSaving`] tracker surfaces the blocks concentrating demand
 //!   (per-key bound `estimate − error ≤ true ≤ estimate`, worst-case
 //!   over-count `total/capacity`).
-//! * **Checkpoint/restore** — at any epoch boundary the engine serializes
-//!   to a canonical JSON [`Snapshot`]; [`IngestEngine::restore`] resumes
-//!   it, and a resumed run is byte-identical to an uninterrupted one.
-//! * **Fault tolerance** — checkpoints are written atomically and sealed
-//!   with a length + CRC-32 footer; a [`CheckpointStore`] retains the
-//!   newest N so recovery can fall back past a truncated or bit-flipped
-//!   file. The `faultsim` layer injects deterministic faults (shard
-//!   panics, process crashes, checkpoint corruption, source stalls) from
-//!   a serializable [`FaultPlan`], and [`run_chaos`] supervises a run
+//! * **Checkpoint/restore** — at any epoch boundary the engine captures
+//!   a [`Snapshot`] with one canonical sealed encoding;
+//!   [`IngestEngine::restore`] resumes it, and a resumed run is
+//!   byte-identical to an uninterrupted one.
+//! * **Fault tolerance** — checkpoints are written atomically under the
+//!   `cellseal` trailer every sealed file carries; a [`CheckpointStore`]
+//!   retains the newest N so recovery can fall back past a truncated or
+//!   bit-flipped file. The `faultsim` layer injects deterministic faults
+//!   (shard panics, process crashes, checkpoint corruption, source
+//!   stalls) from a JSON [`FaultPlan`], and [`run_chaos`] supervises a run
 //!   through all of them — the chaos suite asserts the survivor's state
 //!   is byte-identical to a fault-free run's.
 //!
@@ -62,10 +63,7 @@ pub use hll::{HyperLogLog, MAX_PRECISION, MIN_PRECISION};
 // The checksum and the atomic write live in the `cellseal` leaf; the
 // names stay here for the CLI and the checkpoint code.
 pub use cellseal::{crc32, write_atomic_bytes};
-pub use integrity::{
-    read_verified, seal, unseal, write_atomic, CheckpointStore, IntegrityError, RecoveryOutcome,
-    DEFAULT_RETAIN, FOOTER_PREFIX,
-};
+pub use integrity::{CheckpointStore, RecoveryOutcome, DEFAULT_RETAIN};
 pub use shard::{BeaconAccum, DemandAccum, ShardRouter, ShardState};
 pub use snapshot::{BeaconRow, DemandRow, ResolverRow, ShardSnapshot, Snapshot, SNAPSHOT_VERSION};
 pub use spacesaving::{HeavyHitter, SpaceSaving};

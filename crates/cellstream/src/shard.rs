@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 
 use netaddr::{Asn, BlockId};
-use serde::{Deserialize, Serialize};
 
 use cdnsim::stream::block_stream;
 use cdnsim::{BeaconDelta, DemandDay, StreamEvent};
@@ -25,7 +24,7 @@ use crate::spacesaving::SpaceSaving;
 ///
 /// Routing hashes the block's stable stream id, never its position in any
 /// record vector, so the assignment is a pure function of block identity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardRouter {
     shards: u32,
 }
@@ -53,7 +52,7 @@ impl ShardRouter {
 
 /// Running beacon counters for one block (the streaming counterpart of a
 /// [`cdnsim::BeaconRecord`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BeaconAccum {
     /// Origin AS.
     pub asn: Asn,
@@ -71,7 +70,7 @@ pub struct BeaconAccum {
 
 /// Running demand accumulator for one block: the sum of raw daily draws
 /// seen so far, divided by the smoothing window at finalize time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DemandAccum {
     /// Origin AS.
     pub asn: Asn,

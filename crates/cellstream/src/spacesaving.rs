@@ -17,11 +17,14 @@
 //! counts — unlike HyperLogLog, Space-Saving merging is not exact — which
 //! is why the equivalence test checks bounds, not bit-equality, here).
 
+use cellseal::Reader;
 use netaddr::BlockId;
-use serde::{Deserialize, Serialize};
+
+use crate::error::StreamError;
+use crate::snapshot::{decode_block, encode_block, put_count, put_u64};
 
 /// One tracked counter.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HeavyHitter {
     /// The tracked block.
     pub block: BlockId,
@@ -32,7 +35,7 @@ pub struct HeavyHitter {
 }
 
 /// Bounded-size weighted heavy-hitter tracker.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpaceSaving {
     capacity: usize,
     /// Counters in insertion order — kept stable so serialized snapshots
@@ -155,6 +158,49 @@ impl SpaceSaving {
     pub fn state_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<HeavyHitter>()
     }
+
+    /// Checkpoint encoding: capacity, total weight, then the counters in
+    /// internal order. Floats travel as their bit patterns.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.capacity as u64);
+        put_u64(out, self.total_weight.to_bits());
+        put_count(out, self.entries.len());
+        for e in &self.entries {
+            encode_block(out, e.block);
+            put_u64(out, e.weight.to_bits());
+            put_u64(out, e.error.to_bits());
+        }
+    }
+
+    /// Decode what [`encode`](Self::encode) wrote, refusing a sketch
+    /// [`new`](Self::new) would panic on or that holds more counters
+    /// than its budget.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, StreamError> {
+        let capacity = usize::try_from(r.u64()?)
+            .ok()
+            .filter(|&c| c > 0)
+            .ok_or_else(|| StreamError::Corrupt("heavy-hitter capacity out of range".into()))?;
+        let total_weight = f64::from_bits(r.u64()?);
+        let count = r.u32()? as usize;
+        if count > capacity {
+            return Err(StreamError::Corrupt(format!(
+                "heavy-hitter sketch holds {count} counters, capacity {capacity}"
+            )));
+        }
+        let mut entries = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            entries.push(HeavyHitter {
+                block: decode_block(r)?,
+                weight: f64::from_bits(r.u64()?),
+                error: f64::from_bits(r.u64()?),
+            });
+        }
+        Ok(SpaceSaving {
+            capacity,
+            entries,
+            total_weight,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -164,6 +210,39 @@ mod tests {
 
     fn b(i: u32) -> BlockId {
         BlockId::V4(Block24::from_index(i))
+    }
+
+    #[test]
+    fn decode_refuses_sketches_over_their_budget() {
+        let mut s = SpaceSaving::new(2);
+        s.offer(b(1), 2.5);
+        s.offer(b(2), -0.0);
+        let mut bytes = Vec::new();
+        s.encode(&mut bytes);
+        let decode = |bytes: &[u8]| SpaceSaving::decode(&mut Reader::new(bytes));
+        assert_eq!(decode(&bytes).expect("decodes"), s);
+
+        // Capacity 1 under two counters; capacity 0.
+        for (capacity, why) in [
+            (1u64, "2 counters, capacity 1"),
+            (0, "capacity out of range"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[..8].copy_from_slice(&capacity.to_le_bytes());
+            assert!(
+                matches!(decode(&bad), Err(StreamError::Corrupt(got)) if got.contains(why)),
+                "{why}"
+            );
+        }
+        // A counter count far past the bytes present is truncation, not
+        // an allocation.
+        let mut bad = bytes.clone();
+        bad[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode(&bad),
+            Err(StreamError::Integrity(cellseal::SealError::Truncated))
+        ));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Chaos suite: runs killed and corrupted at deterministic points must
 //! recover from the last good checkpoint and end **byte-identical** to a
-//! fault-free run — same canonical snapshot JSON, same bit-exact
+//! fault-free run — same canonical snapshot bytes, same bit-exact
 //! datasets, same sketches. Each scenario is a seeded [`FaultPlan`], so
 //! a failure here reproduces exactly.
 
@@ -38,11 +38,11 @@ fn mini_setup() -> (World, DnsSim) {
 }
 
 /// The fault-free truth: final canonical snapshot plus folded outputs.
-fn reference(world: &World, dns: &DnsSim) -> (String, StreamOutputs) {
+fn reference(world: &World, dns: &DnsSim) -> (Vec<u8>, StreamOutputs) {
     let source = EventSource::new(world, CdnConfig::default(), EPOCHS);
     let mut engine = IngestEngine::for_source(cfg(), &source, ResolverMap::from_dns(dns));
     engine.run_to_end(&source);
-    (engine.snapshot().to_json(), engine.finalize())
+    (engine.snapshot().to_bytes(), engine.finalize())
 }
 
 /// Run the full stream under `plan`, recovering through a fresh store.
@@ -87,7 +87,7 @@ fn assert_outputs_eq(a: &StreamOutputs, b: &StreamOutputs) {
 #[test]
 fn crash_with_flipped_newest_checkpoint_recovers_exactly() {
     let (world, dns) = mini_setup();
-    let (ref_json, ref_outputs) = reference(&world, &dns);
+    let (ref_bytes, ref_outputs) = reference(&world, &dns);
     let dir = tmp_dir("chaos_plan_a");
     let plan = FaultPlan {
         seed: 1,
@@ -101,8 +101,8 @@ fn crash_with_flipped_newest_checkpoint_recovers_exactly() {
     };
     let (engine, report) = run_plan(&world, &dns, &dir, plan);
     assert_eq!(
-        engine.snapshot().to_json(),
-        ref_json,
+        engine.snapshot().to_bytes(),
+        ref_bytes,
         "byte-identical state"
     );
     assert_outputs_eq(&engine.finalize(), &ref_outputs);
@@ -117,7 +117,7 @@ fn crash_with_flipped_newest_checkpoint_recovers_exactly() {
 #[test]
 fn multi_shard_kill_with_truncated_checkpoint_recovers_exactly() {
     let (world, dns) = mini_setup();
-    let (ref_json, ref_outputs) = reference(&world, &dns);
+    let (ref_bytes, ref_outputs) = reference(&world, &dns);
     let dir = tmp_dir("chaos_plan_b");
     let plan = FaultPlan {
         seed: 2,
@@ -140,8 +140,8 @@ fn multi_shard_kill_with_truncated_checkpoint_recovers_exactly() {
     };
     let (engine, report) = run_plan(&world, &dns, &dir, plan);
     assert_eq!(
-        engine.snapshot().to_json(),
-        ref_json,
+        engine.snapshot().to_bytes(),
+        ref_bytes,
         "byte-identical state"
     );
     assert_outputs_eq(&engine.finalize(), &ref_outputs);
@@ -160,7 +160,7 @@ fn multi_shard_kill_with_truncated_checkpoint_recovers_exactly() {
 #[test]
 fn boundary_crash_with_two_bad_checkpoints_recovers_exactly() {
     let (world, dns) = mini_setup();
-    let (ref_json, ref_outputs) = reference(&world, &dns);
+    let (ref_bytes, ref_outputs) = reference(&world, &dns);
     let dir = tmp_dir("chaos_plan_c");
     let plan = FaultPlan {
         seed: 3,
@@ -179,8 +179,8 @@ fn boundary_crash_with_two_bad_checkpoints_recovers_exactly() {
     };
     let (engine, report) = run_plan(&world, &dns, &dir, plan);
     assert_eq!(
-        engine.snapshot().to_json(),
-        ref_json,
+        engine.snapshot().to_bytes(),
+        ref_bytes,
         "byte-identical state"
     );
     assert_outputs_eq(&engine.finalize(), &ref_outputs);

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 
 use cdnsim::{CdnConfig, EventSource};
-use cellstream::{IngestEngine, ResolverMap, Snapshot, StreamConfig};
+use cellstream::{IngestEngine, ResolverMap, Snapshot, StreamConfig, StreamError};
 use dnssim::generate_dns;
 use worldgen::{World, WorldConfig};
 
@@ -34,12 +34,12 @@ fn restore_and_continue_matches_uninterrupted_run() {
     for _ in 0..3 {
         uninterrupted.ingest_epoch(&source);
     }
-    let mid_reference = uninterrupted.snapshot().to_json();
+    let mid_reference = uninterrupted.snapshot().to_bytes();
     uninterrupted.run_to_end(&source);
-    let final_reference = uninterrupted.snapshot().to_json();
+    let final_reference = uninterrupted.snapshot().to_bytes();
 
     // Killed after 3 epochs, checkpointed to disk, restored, resumed.
-    let path = tmp_path("cellstream_mid.json");
+    let path = tmp_path("cellstream_mid.ckpt");
     {
         let mut engine = IngestEngine::for_source(cfg, &source, ResolverMap::from_dns(&dns));
         for _ in 0..3 {
@@ -47,9 +47,9 @@ fn restore_and_continue_matches_uninterrupted_run() {
         }
         let snap = engine.snapshot();
         assert_eq!(
-            snap.to_json(),
+            snap.to_bytes(),
             mid_reference,
-            "same state must serialize to byte-identical JSON"
+            "same state must seal to identical bytes"
         );
         snap.write_to(&path).expect("write checkpoint");
         // Engine dropped here: the "kill".
@@ -60,7 +60,7 @@ fn restore_and_continue_matches_uninterrupted_run() {
     assert!(!resumed.finished());
     resumed.run_to_end(&source);
     assert_eq!(
-        resumed.snapshot().to_json(),
+        resumed.snapshot().to_bytes(),
         final_reference,
         "resumed run must end in byte-identical state"
     );
@@ -93,11 +93,11 @@ fn snapshot_roundtrips_through_disk_losslessly() {
     engine.ingest_epoch(&source);
     let snap = engine.snapshot();
 
-    let path = tmp_path("cellstream_roundtrip.json");
+    let path = tmp_path("cellstream_roundtrip.ckpt");
     snap.write_to(&path).expect("write");
     let back = Snapshot::read_from(&path).expect("read");
     assert_eq!(snap, back, "disk roundtrip must be lossless");
-    assert_eq!(snap.to_json(), back.to_json());
+    assert_eq!(snap.to_bytes(), back.to_bytes());
     assert_eq!(back.epochs_done, 2);
     assert_eq!(back.epochs_total, 4);
 }
@@ -112,14 +112,14 @@ fn unknown_snapshot_version_is_rejected() {
         ResolverMap::from_dns(&dns),
     );
     engine.ingest_epoch(&source);
-    let json = engine.snapshot().to_json();
-    let tampered = json.replacen("\"version\": 1", "\"version\": 999", 1);
-    assert_ne!(json, tampered, "tamper target must exist in the JSON");
-    let err = Snapshot::from_json(&tampered).unwrap_err();
+    let mut snap = engine.snapshot();
+    snap.version = 999;
+    let err = Snapshot::from_bytes(&snap.to_bytes()).unwrap_err();
     assert!(
-        err.to_string().contains("version"),
+        matches!(err, StreamError::UnsupportedVersion(999)),
         "unexpected error: {err}"
     );
+    assert!(err.to_string().contains("version"), "{err}");
 }
 
 #[test]

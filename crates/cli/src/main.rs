@@ -989,7 +989,7 @@ fn serve(args: &[String]) -> CmdResult {
 /// `replay`: generate (or load) a sealed seeded query trace for a named
 /// workload preset and replay it closed-loop — directly through the
 /// query engine, or against an in-process daemon over framed TCP or
-/// bulk HTTP — writing a `BENCH_replay.json` record. The `workload`
+/// bulk HTTP — writing a replay record (`--out`). The `workload`
 /// half of the record is a pure function of `(preset, seed, queries,
 /// epochs, universe)` and is byte-identical at any `--threads`; the
 /// `replay` half carries the measured numbers. The `churn` preset
@@ -1214,10 +1214,7 @@ fn replay(args: &[String]) -> CmdResult {
         cellload::workload_json(&trace, &universes[0]),
         cellload::replay_json(&outcome, &obs),
     );
-    write(
-        &out,
-        &serde_json::to_string_pretty(&record).expect("serialize replay record"),
-    )?;
+    write(&out, &format!("{record:#}\n"))?;
     eprintln!(
         "{} `{}` queries replayed ({mode}): {:.0} lookups/s, {} matched, \
          answer digest {} → {}",

@@ -3,8 +3,10 @@
 //! the serving path (index build → lookup → serve, corrupted-artifact
 //! rejection) and error-path behaviour (bad flags, malformed CSV).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use cellobs::json::Json;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_cellspot")
@@ -15,6 +17,12 @@ fn run(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("binary spawns")
+}
+
+/// Parse a JSON file the binary wrote.
+fn read_json(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -157,10 +165,10 @@ fn stream_checkpoints_and_resumes() {
     assert!(reference.contains("top demand blocks"), "{reference}");
     assert!(dir.join("full/beacons.csv").exists());
     assert!(dir.join("full/demand.csv").exists());
-    let full_ckpt = std::fs::read_to_string(ckpt_full.join("ckpt-ep000004.json"))
-        .expect("final checkpoint written");
+    let full_ckpt =
+        std::fs::read(ckpt_full.join("ckpt-ep000004.ckpt")).expect("final checkpoint written");
     assert!(
-        !ckpt_full.join("ckpt-ep000001.json").exists(),
+        !ckpt_full.join("ckpt-ep000001.ckpt").exists(),
         "default retention prunes the oldest checkpoint"
     );
 
@@ -181,8 +189,8 @@ fn stream_checkpoints_and_resumes() {
         reference,
         "resumed run must reproduce the uninterrupted summary"
     );
-    let resumed_ckpt = std::fs::read_to_string(ckpt_partial.join("ckpt-ep000004.json"))
-        .expect("final checkpoint rewritten");
+    let resumed_ckpt =
+        std::fs::read(ckpt_partial.join("ckpt-ep000004.ckpt")).expect("final checkpoint rewritten");
     assert_eq!(
         resumed_ckpt, full_ckpt,
         "final checkpoint must be byte-identical to the uninterrupted run's"
@@ -191,7 +199,7 @@ fn stream_checkpoints_and_resumes() {
     // A resume that only finds corrupt checkpoints fails cleanly.
     let ckpt_bad = dir.join("ckpt_bad");
     std::fs::create_dir_all(&ckpt_bad).expect("mkdir");
-    std::fs::write(ckpt_bad.join("ckpt-ep000002.json"), "{ torn").expect("write");
+    std::fs::write(ckpt_bad.join("ckpt-ep000002.ckpt"), "{ torn").expect("write");
     let mut from_bad = args_with_ckpt(ckpt_bad.to_str().expect("utf8"));
     from_bad.push("--resume".to_string());
     let out = run_owned(&from_bad);
@@ -301,6 +309,21 @@ fn stream_survives_a_fault_plan() {
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("needs --checkpoint"));
+
+    // A plan with a misspelt field is bad data (exit 4) naming the
+    // field, not a run of some other scenario.
+    std::fs::write(
+        &plan,
+        r#"{"seed": 9, "faults": [{"Crash": {"epoch": 2, "after_event": 0, "after_events": 9}}]}"#,
+    )
+    .expect("write misspelt plan");
+    let out = run_owned(&chaos);
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(r#"fault 0: Crash: unknown field "after_event""#),
+        "{stderr}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -563,9 +586,7 @@ fn lookup_over_a_long_list_equals_one_engine_run() {
         stats.uncached,
     );
     assert!(stderr.contains(&want_summary), "{stderr}");
-    let exported: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&metrics).expect("metrics written"))
-            .expect("valid JSON export");
+    let exported = read_json(&metrics);
     for (name, want) in [
         ("serve.lookups", stats.lookups),
         ("serve.matched", stats.matched),
@@ -573,11 +594,11 @@ fn lookup_over_a_long_list_equals_one_engine_run() {
         ("serve.cache.misses", stats.cache_misses),
         ("serve.cache.uncached", stats.uncached),
     ] {
-        assert_eq!(exported["counters"][name], want, "{name}");
+        assert_eq!(exported["counters"][name], Json::Int(want), "{name}");
     }
     assert_eq!(
         exported["histograms"]["serve.lookup.ns"]["count"],
-        stats.lookups
+        Json::Int(stats.lookups)
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -1231,7 +1252,7 @@ fn sigterm_shuts_the_daemon_down_gracefully() {
 #[test]
 fn replay_is_thread_invariant_and_mode_agnostic() {
     let dir = tmpdir("replay");
-    let record_for = |threads: &str, mode: &str, tag: &str| -> serde_json::Value {
+    let record_for = |threads: &str, mode: &str, tag: &str| -> Json {
         let trace = dir.join(format!("trace-{tag}.cload"));
         let out_path = dir.join(format!("replay-{tag}.json"));
         let out = run(&[
@@ -1254,8 +1275,7 @@ fn replay_is_thread_invariant_and_mode_agnostic() {
             out_path.to_str().expect("utf8"),
         ]);
         assert!(out.status.success(), "replay {tag} failed: {out:?}");
-        serde_json::from_str(&std::fs::read_to_string(&out_path).expect("record written"))
-            .expect("valid JSON record")
+        read_json(&out_path)
     };
 
     let one = record_for("1", "engine", "t1");
@@ -1270,21 +1290,97 @@ fn replay_is_thread_invariant_and_mode_agnostic() {
         "workload sections must not depend on --threads"
     );
 
-    assert_eq!(one["bench"], "replay");
-    assert_eq!(one["workload"]["preset"], "churn");
-    assert_eq!(one["workload"]["queries"], 6000);
+    // The record's shape: every key, at every level, under its parent.
+    let keys = |v: &Json| -> Vec<String> {
+        let Json::Obj(members) = v else {
+            panic!("expected an object, got {v}");
+        };
+        let mut keys: Vec<String> = members.iter().map(|(k, _)| k.clone()).collect();
+        keys.sort();
+        keys
+    };
+    assert_eq!(keys(&one), ["bench", "replay", "threads", "workload"]);
     assert_eq!(
-        one["workload"]["segments"]
-            .as_array()
-            .expect("segments array")
-            .len(),
-        3
+        keys(&one["workload"]),
+        [
+            "preset",
+            "queries",
+            "seed",
+            "segments",
+            "trace_digest",
+            "universe"
+        ]
     );
-    assert!(one["replay"]["answer_digest"].is_string());
-    assert!(one["replay"]["lookups_per_sec"].as_f64().expect("rate") > 0.0);
+    assert_eq!(
+        keys(&one["workload"]["universe"]),
+        ["v4_blocks", "v6_blocks"]
+    );
+    assert_eq!(
+        keys(&one["replay"]),
+        [
+            "answer_digest",
+            "cache",
+            "dropped",
+            "latency",
+            "lookups",
+            "lookups_per_sec",
+            "matched",
+            "mode",
+            "segments",
+            "wall_secs"
+        ]
+    );
+    assert_eq!(
+        keys(&one["replay"]["cache"]),
+        ["hit_rate", "hits", "misses", "uncached"]
+    );
+    assert_eq!(
+        keys(&one["replay"]["latency"]),
+        ["count", "p50", "p99", "p999", "source", "unit"]
+    );
+    let segments = |section: &str| match &one[section]["segments"] {
+        Json::Arr(segments) => segments.as_slice(),
+        other => panic!("{section} segments: {other}"),
+    };
+    assert_eq!(segments("workload").len(), 3);
+    assert_eq!(keys(&segments("workload")[0]), ["epoch", "queries"]);
+    assert_eq!(segments("replay").len(), 3);
+    assert_eq!(
+        keys(&segments("replay")[0]),
+        ["answer_digest", "dropped", "epoch", "lookups", "matched"]
+    );
+
+    assert_eq!(one["bench"], Json::from("replay"));
+    assert_eq!(one["workload"]["preset"], Json::from("churn"));
+    assert_eq!(one["workload"]["seed"], Json::Int(9));
+    assert_eq!(one["workload"]["queries"], Json::Int(6000));
+    // Digests are 16 lowercase hex digits, as `hash_hex` prints them.
+    for digest in [
+        &one["replay"]["answer_digest"],
+        &one["workload"]["trace_digest"],
+    ] {
+        let Json::Str(digest) = digest else {
+            panic!("digest string: {digest}");
+        };
+        assert_eq!(digest.len(), 16, "{digest}");
+        assert!(
+            digest
+                .bytes()
+                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')),
+            "{digest}"
+        );
+    }
+    assert!(
+        matches!(one["replay"]["lookups_per_sec"], Json::Num(rate) if rate > 0.0),
+        "{}",
+        one["replay"]["lookups_per_sec"]
+    );
     // Every lookup lands in exactly one cache-accounting bucket, and
     // the trace drew from a non-empty prefix universe.
-    let count = |v: &serde_json::Value| v.as_u64().expect("count");
+    let count = |v: &Json| match v {
+        Json::Int(n) => *n,
+        other => panic!("count: {other}"),
+    };
     let cache = &one["replay"]["cache"];
     assert_eq!(
         count(&cache["hits"]) + count(&cache["misses"]) + count(&cache["uncached"]),
@@ -1302,8 +1398,8 @@ fn replay_is_thread_invariant_and_mode_agnostic() {
         one["replay"]["answer_digest"], tcp["replay"]["answer_digest"],
         "daemon answers diverge from the engine replay"
     );
-    assert_eq!(tcp["replay"]["dropped"], 0);
-    assert_eq!(tcp["replay"]["lookups"], 6000);
+    assert_eq!(tcp["replay"]["dropped"], Json::Int(0));
+    assert_eq!(tcp["replay"]["lookups"], Json::Int(6000));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1346,12 +1442,8 @@ fn replay_traces_reload_verbatim_and_reject_corruption() {
         second.to_str().expect("utf8"),
     ]);
     assert!(out.status.success(), "trace-in replay failed: {out:?}");
-    let a: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&first).expect("first record"))
-            .expect("valid JSON");
-    let b: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&second).expect("second record"))
-            .expect("valid JSON");
+    let a = read_json(&first);
+    let b = read_json(&second);
     assert_eq!(
         a["workload"], b["workload"],
         "a reloaded trace must describe the identical workload"

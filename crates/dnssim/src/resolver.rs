@@ -1,5 +1,4 @@
 use netaddr::{Asn, BlockId};
-use serde::{Deserialize, Serialize};
 use worldgen::sampling::{rng_for, uniform, weighted_choice, GenRng};
 use worldgen::{OperatorRole, World};
 
@@ -20,7 +19,7 @@ impl RngIdx for GenRng {
 }
 
 /// The public DNS services the paper measures (Fig. 10).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PublicDns {
     /// Google Public DNS (8.8.8.8).
     GoogleDns,
@@ -46,7 +45,7 @@ impl PublicDns {
 }
 
 /// What population a resolver serves.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ResolverKind {
     /// Operator resolver serving both cellular and fixed clients.
     Shared,
@@ -59,7 +58,7 @@ pub enum ResolverKind {
 }
 
 /// One recursive resolver.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Resolver {
     /// Dense id, index into [`DnsSim::resolvers`].
     pub id: u32,
@@ -78,7 +77,7 @@ pub struct Resolver {
 
 /// A weighted client-block → resolver association, the output of
 /// end-user-mapping style log analysis.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Affinity {
     /// Client block.
     pub block: BlockId,
@@ -89,7 +88,7 @@ pub struct Affinity {
 }
 
 /// Generated resolver population and affinities.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DnsSim {
     /// All resolvers, indexed by id.
     pub resolvers: Vec<Resolver>,

@@ -1,15 +1,13 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetAddrError;
 
 /// An autonomous system number.
 ///
 /// 32-bit per RFC 6793. Displayed as `AS15169`; parsing accepts both the
 /// prefixed (`AS15169`) and bare (`15169`) forms.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Asn(pub u32);
 
 impl Asn {

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Ipv4Net, Ipv6Net};
 
 /// A /24 IPv4 aggregation block — the paper's unit of IPv4 measurement.
@@ -9,7 +7,7 @@ use crate::{Ipv4Net, Ipv6Net};
 /// Stored as the upper 24 bits of the network address, so the full range of
 /// blocks fits in `0..2^24` and the type can be used directly as a dense
 /// array index or sort key.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Block24(u32);
 
 impl Block24 {
@@ -105,7 +103,7 @@ impl fmt::Debug for Block24 {
 /// A /48 IPv6 aggregation block — the paper's unit of IPv6 measurement.
 ///
 /// Stored as the upper 48 bits of the network address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Block48(u64);
 
 impl Block48 {
@@ -166,7 +164,7 @@ impl fmt::Debug for Block48 {
 }
 
 /// Either kind of aggregation block. All measurement datasets key on this.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum BlockId {
     /// An IPv4 /24 block.
     V4(Block24),

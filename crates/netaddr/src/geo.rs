@@ -1,13 +1,11 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetAddrError;
 
 /// The six populated continents, as used by the paper's per-continent
 /// rollups (Table 4, Table 6, Table 8).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Continent {
     /// Africa (AF).
     Africa,
@@ -93,23 +91,9 @@ pub fn ituc_subscribers_millions(continent: Continent) -> f64 {
 }
 
 /// An ISO 3166-1 alpha-2 country code, stored inline as two ASCII
-/// uppercase bytes. Serializes as its two-letter string form, so it can
-/// be a JSON map key.
+/// uppercase bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryCode([u8; 2]);
-
-impl serde::Serialize for CountryCode {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(self.as_str())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for CountryCode {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = <std::borrow::Cow<'de, str>>::deserialize(d)?;
-        CountryCode::new(&s).map_err(serde::de::Error::custom)
-    }
-}
 
 impl CountryCode {
     /// Build from two ASCII letters; lowercase input is uppercased.

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetAddrError;
 use crate::fmt_ipv4;
 
@@ -11,7 +9,7 @@ use crate::fmt_ipv4;
 /// The address is stored in host byte order with all host bits cleared —
 /// the type maintains the invariant `addr & !mask == 0`, so two prefixes
 /// are equal iff they describe the same set of addresses.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4Net {
     addr: u32,
     len: u8,

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetAddrError;
 use crate::fmt_ipv6;
 
@@ -11,7 +9,7 @@ use crate::fmt_ipv6;
 /// Stored as a `u128` in host byte order with host bits cleared, mirroring
 /// [`crate::Ipv4Net`]. Textual parsing accepts the standard compressed form
 /// (`::` elision) but always prints the uncompressed form.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv6Net {
     addr: u128,
     len: u8,

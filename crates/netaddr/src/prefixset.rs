@@ -7,13 +7,11 @@
 //! same addresses — and supports fast membership tests over the merged
 //! ranges.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Ipv4Net;
 
 /// A canonicalized set of IPv4 addresses represented as the minimal list
 /// of disjoint CIDR prefixes, sorted by address.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Ipv4PrefixSet {
     prefixes: Vec<Ipv4Net>,
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Ipv4Net, Ipv6Net};
 
 /// A binary radix trie over left-aligned 128-bit keys with longest-prefix
@@ -14,13 +12,13 @@ use crate::{Ipv4Net, Ipv6Net};
 /// compact, serializable, and free of unsafe code or pointer juggling —
 /// simplicity and robustness over micro-optimization, per the smoltcp
 /// design philosophy this workspace follows.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PrefixTrie<V> {
     nodes: Vec<Node>,
     values: Vec<Entry<V>>,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Node {
     /// Child node indices for bit 0 / bit 1; `u32::MAX` means absent.
     children: [u32; 2],
@@ -30,7 +28,7 @@ struct Node {
 
 const NONE: u32 = u32::MAX;
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Entry<V> {
     bits: u128,
     len: u8,
@@ -218,7 +216,7 @@ impl<V> PrefixTrie<V> {
 /// A pair of tries, one per address family, with family-dispatching
 /// operations. This is what consumers use for ground-truth prefix lists
 /// that mix IPv4 and IPv6 CIDRs.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DualPrefixTrie<V> {
     /// IPv4 prefixes.
     pub v4: PrefixTrie<V>,

@@ -1,10 +1,8 @@
 //! Figure artifacts: named series with CSV export and a small ascii
 //! plotter for terminal inspection.
 
-use serde::{Deserialize, Serialize};
-
 /// One named data series.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Series {
     /// Legend label.
     pub name: String,
@@ -23,7 +21,7 @@ impl Series {
 }
 
 /// Axis scale.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// Linear axis.
     Linear,
@@ -32,7 +30,7 @@ pub enum Scale {
 }
 
 /// A renderable figure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Figure {
     /// Caption.
     pub title: String,

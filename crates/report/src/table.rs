@@ -1,9 +1,7 @@
 //! Plain-text table rendering with CSV export.
 
-use serde::{Deserialize, Serialize};
-
 /// Column alignment.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Align {
     /// Left-aligned (labels).
     Left,
@@ -12,7 +10,7 @@ pub enum Align {
 }
 
 /// A renderable table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     /// Table caption.
     pub title: String,

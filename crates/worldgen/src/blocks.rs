@@ -18,7 +18,6 @@
 use asdb::{AccessType, AsKind};
 use netaddr::{Asn, Block24, Block48, BlockId};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::config::WorldConfig;
 use crate::operators::{OperatorInfo, OperatorRole, OperatorSet};
@@ -26,7 +25,7 @@ use crate::sampling::{rng_for, uniform, zipf_split, GenRng};
 
 /// What a block is for, in ground truth. Analyses never read this — it
 /// exists for the generator and for test oracles.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BlockRole {
     /// Ordinary eyeball space (cellular or fixed).
     Eyeball,
@@ -45,7 +44,7 @@ pub enum BlockRole {
 }
 
 /// One active measurement block with its latent ground truth.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SubnetRecord {
     /// The /24 or /48 block.
     pub block: BlockId,
@@ -70,7 +69,7 @@ pub struct SubnetRecord {
 /// Address-space allocation for one operator: contiguous index runs for
 /// each section. Carrier ground-truth lists are derived from these spans
 /// (allocated space includes blocks that never appear in any dataset).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OpSpans {
     /// Owning AS.
     pub asn: Asn,
@@ -101,7 +100,7 @@ pub struct OpSpans {
 }
 
 /// Output of block generation.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BlockSet {
     /// All active blocks across the world.
     pub records: Vec<SubnetRecord>,

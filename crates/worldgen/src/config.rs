@@ -1,7 +1,5 @@
 //! World generation configuration and presets.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable knobs for the synthetic world.
 ///
 /// Two presets matter in practice: [`WorldConfig::paper`] reproduces the
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// counts down ~50× for examples and integration tests while keeping the
 /// AS-level structure (operator counts, mixing, filter-rule victims) at
 /// full size so AS-level experiments remain meaningful.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorldConfig {
     /// Master seed; every random quantity derives from it.
     pub seed: u64,

@@ -230,7 +230,7 @@ pub fn continent_targets(continent: Continent) -> &'static ContinentTargets {
 
 /// A resolved country in the generated world: either a named anchor or a
 /// synthesized filler.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CountrySpec {
     /// The country code (named or synthetic filler code).
     pub code: CountryCode,

@@ -18,8 +18,6 @@
 //! Evolution is deterministic in `(seed, month)` and months are
 //! *cumulative*: month 3 applies three months of churn to the base world.
 
-use serde::{Deserialize, Serialize};
-
 use netaddr::{Block24, BlockId};
 
 use crate::blocks::BlockSet;
@@ -27,7 +25,7 @@ use crate::sampling::{lognormal_jitter, rng_for, uniform};
 use crate::world::World;
 
 /// Evolution knobs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChurnConfig {
     /// Monthly probability that a cellular block is renumbered.
     pub cell_block_churn: f64,
@@ -129,7 +127,7 @@ pub fn evolve_blocks(world: &World, cfg: &ChurnConfig, month: u32) -> BlockSet {
 
 /// A world snapshot for one month: the evolved blocks plus the month id,
 /// ready to feed the CDN simulator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MonthSnapshot {
     /// Months since the base world.
     pub month: u32,

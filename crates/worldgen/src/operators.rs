@@ -15,7 +15,6 @@
 
 use asdb::AsKind;
 use netaddr::{Asn, Continent, CountryCode};
-use serde::{Deserialize, Serialize};
 
 use crate::config::WorldConfig;
 use crate::countries::{continent_targets, CountrySpec};
@@ -23,7 +22,7 @@ use crate::sampling::{rng_for, stochastic_round, uniform, weighted_choice, zipf_
 
 /// Why an operator exists in the generated population; drives both block
 /// generation and the expectations of the AS-filter experiments.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OperatorRole {
     /// A genuine access operator (cellular, mixed, or fixed-only).
     Normal,
@@ -39,7 +38,7 @@ pub enum OperatorRole {
 
 /// One generated autonomous system with everything block generation and
 /// the DNS substrate need to know about it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OperatorInfo {
     /// Assigned AS number.
     pub asn: Asn,
@@ -113,7 +112,7 @@ impl OperatorInfo {
 
 /// The generated operator population plus the designated showcase and
 /// validation-carrier ASes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OperatorSet {
     /// All operators.
     pub ops: Vec<OperatorInfo>,

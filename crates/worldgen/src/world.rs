@@ -4,7 +4,6 @@ use std::collections::HashMap;
 
 use asdb::{AsClass, AsDatabase, AsRecord, CarrierGroundTruth};
 use netaddr::Asn;
-use serde::{Deserialize, Serialize};
 
 use crate::blocks::{generate_blocks, BlockSet};
 use crate::carriers::build_carriers;
@@ -15,7 +14,7 @@ use crate::sampling::rng_for;
 
 /// The fully generated synthetic world: the ground truth the measurement
 /// pipeline is evaluated against.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct World {
     /// The configuration this world was generated from.
     pub config: WorldConfig,
@@ -29,7 +28,6 @@ pub struct World {
     pub blocks: BlockSet,
     /// Validation carriers (ground-truth prefix lists).
     pub carriers: Vec<CarrierGroundTruth>,
-    #[serde(skip)]
     op_index: HashMap<Asn, usize>,
 }
 
@@ -103,22 +101,7 @@ impl World {
 
     /// Look up an operator by ASN in O(1).
     pub fn operator(&self, asn: Asn) -> Option<&OperatorInfo> {
-        if self.op_index.len() != self.operators.ops.len() {
-            // Deserialized worlds lose the skip-serialized index.
-            return self.operators.ops.iter().find(|o| o.asn == asn);
-        }
         self.op_index.get(&asn).map(|&i| &self.operators.ops[i])
-    }
-
-    /// Rebuild the operator index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.op_index = self
-            .operators
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.asn, i))
-            .collect();
     }
 
     /// Total raw demand weight across all blocks (the quantity the CDN
@@ -232,7 +215,7 @@ struct SummaryPartial {
 }
 
 /// Ground-truth counters for a generated world.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorldSummary {
     /// Total operators (the platform's AS census).
     pub operators: usize,

@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 
 use cellspotting::cdnsim::{self, CdnConfig, EventSource};
+use cellspotting::cellobs::json::Json;
 use cellspotting::cellobs::{ExportFormat, Observer};
 use cellspotting::cellspot::{Pipeline, StudyConfig};
 use cellspotting::cellstream::{IngestEngine, ResolverMap, StreamConfig};
@@ -94,18 +95,19 @@ fn redacted_export_is_stable_across_runs() {
     assert_eq!(observed_study_export(2), observed_study_export(2));
 }
 
-/// The JSON export parses with a standard JSON parser and covers every
+/// The JSON export parses with the workspace's strict parser and covers every
 /// pipeline stage: a `pipeline.<stage>.items` counter and a
 /// `study/<stage>` span per stage, plus the worldgen and cdnsim
 /// sampling metrics.
 #[test]
 fn json_export_parses_and_covers_every_stage() {
     let json = observed_study_export(2);
-    let v: serde_json::Value = serde_json::from_str(&json).expect("export is valid JSON");
-    let counters = v["counters"].as_object().expect("counters object");
+    let v = Json::parse(&json).expect("export is valid JSON");
+    let counters = &v["counters"];
+    assert!(matches!(counters, Json::Obj(_)), "counters object");
     for stage in STUDY_STAGES {
         assert!(
-            counters.contains_key(&format!("pipeline.{stage}.items")),
+            matches!(counters[&format!("pipeline.{stage}.items")], Json::Int(_)),
             "missing counter for stage {stage}"
         );
     }
@@ -118,17 +120,21 @@ fn json_export_parses_and_covers_every_stage() {
         "cdnsim.beacon.netinfo_hits",
         "cdnsim.demand.records",
     ] {
-        assert!(counters.contains_key(key), "missing counter {key}");
         assert!(
-            counters[key].as_u64().expect("u64 counter") > 0,
-            "{key} is zero"
+            matches!(counters[key], Json::Int(count) if count > 0),
+            "counter {key} missing or zero: {}",
+            counters[key]
         );
     }
-    let spans: Vec<&str> = v["spans"]
-        .as_array()
-        .expect("spans array")
+    let Json::Arr(spans) = &v["spans"] else {
+        panic!("spans array");
+    };
+    let spans: Vec<&str> = spans
         .iter()
-        .map(|s| s["path"].as_str().expect("span path"))
+        .map(|s| match &s["path"] {
+            Json::Str(path) => path.as_str(),
+            other => panic!("span path: {other}"),
+        })
         .collect();
     assert!(spans.contains(&"worldgen"));
     assert!(spans.contains(&"study"));
@@ -137,10 +143,10 @@ fn json_export_parses_and_covers_every_stage() {
         assert!(spans.contains(&path.as_str()), "missing span {path}");
     }
     assert!(
-        v["histograms"]
-            .as_object()
-            .expect("histograms object")
-            .contains_key("pipeline.join.netinfo_hits_per_block"),
+        matches!(
+            v["histograms"]["pipeline.join.netinfo_hits_per_block"],
+            Json::Obj(_)
+        ),
         "join stage histogram present"
     );
 }

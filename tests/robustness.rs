@@ -12,7 +12,9 @@ use cellspotting::cdnsim::{
 use cellspotting::cellspot::{
     v6_deployment, BlockIndex, Classification, Pipeline, RatioDistributions, StudyConfig, WorldView,
 };
-use cellspotting::cellstream::{IngestEngine, IngestError, ResolverMap, Snapshot, StreamConfig};
+use cellspotting::cellstream::{
+    IngestEngine, IngestError, ResolverMap, Snapshot, StreamConfig, StreamError,
+};
 use cellspotting::netaddr::{Asn, Block24, BlockId};
 use cellspotting::worldgen::{World, WorldConfig};
 
@@ -216,7 +218,7 @@ fn checkpoint_at_epoch_zero_restores_to_a_full_run() {
     let mut resumed =
         IngestEngine::try_restore(&snap, ResolverMap::empty()).expect("epoch-0 snapshot restores");
     resumed.run_to_end(&source);
-    assert_eq!(resumed.snapshot().to_json(), direct.snapshot().to_json());
+    assert_eq!(resumed.snapshot(), direct.snapshot());
 }
 
 #[test]
@@ -279,22 +281,47 @@ fn unreadable_checkpoint_files_fail_cleanly() {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("tmp dir");
 
-    // Missing file: a clean io::Error, not a panic.
-    assert!(Snapshot::read_from(&dir.join("absent.json")).is_err());
+    // Missing file: a clean I/O error, not a panic.
+    assert!(matches!(
+        Snapshot::read_from(&dir.join("absent.ckpt")),
+        Err(StreamError::Io(_))
+    ));
 
-    // Torn write (invalid JSON, no footer).
-    let torn = dir.join("torn.json");
-    fs::write(&torn, "{ \"version\": 1").expect("write torn file");
-    assert!(Snapshot::read_from(&torn).is_err());
-
-    // A well-formed snapshot body without the integrity footer is also
-    // rejected: only sealed files count as checkpoints.
     let world = World::generate(WorldConfig::mini());
     let source = EventSource::new(&world, CdnConfig::default(), 1);
     let engine = IngestEngine::for_source(StreamConfig::default(), &source, ResolverMap::empty());
-    let unsealed = dir.join("unsealed.json");
-    fs::write(&unsealed, engine.snapshot().to_json()).expect("write unsealed file");
-    assert!(Snapshot::read_from(&unsealed).is_err());
+    let sealed = engine.snapshot().to_bytes();
+
+    // Torn write: the front half of a checkpoint.
+    let torn = dir.join("torn.ckpt");
+    fs::write(&torn, &sealed[..sealed.len() / 2]).expect("write torn file");
+    assert!(matches!(
+        Snapshot::read_from(&torn),
+        Err(StreamError::Integrity(_))
+    ));
+
+    // A well-formed snapshot body without the seal trailer is also
+    // rejected: only sealed files count as checkpoints.
+    let unsealed = dir.join("unsealed.ckpt");
+    fs::write(&unsealed, &sealed[..sealed.len() - cellseal::TRAILER_LEN])
+        .expect("write unsealed file");
+    assert!(matches!(
+        Snapshot::read_from(&unsealed),
+        Err(StreamError::Integrity(_))
+    ));
+
+    // A checkpoint from before the binary format (JSON under a text
+    // footer) is one more corrupt file.
+    let old = dir.join("old.json");
+    fs::write(
+        &old,
+        "{\n  \"version\": 1\n}\n#cellstream-checkpoint v1 len=17 crc32=00000000\n",
+    )
+    .expect("write old-format file");
+    assert!(matches!(
+        Snapshot::read_from(&old),
+        Err(StreamError::Integrity(cellseal::SealError::TrailerMagic))
+    ));
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,5 @@
 //! Every file this workspace seals — CELLSERV v1 and v2 artifacts,
-//! CELLDELT deltas, CELLLOAD traces, sealed checkpoints — as one table:
+//! CELLDELT deltas, CELLLOAD traces, ingest checkpoints — as one table:
 //! a tiny fixed fixture per format, the FNV-1a 64 content hash of its
 //! sealed bytes, and the format's real decoder.
 //!
@@ -15,8 +15,11 @@ use cellspotting::cellserve::{
     content_hash, Artifact, ArtifactFormat, AsClass, FrozenIndex, IpKey, MappedIndex, ServeError,
     ServeLabel,
 };
-use cellspotting::cellstream;
-use cellspotting::netaddr::Asn;
+use cellspotting::cellstream::{
+    BeaconRow, DemandRow, HyperLogLog, ResolverRow, ShardSnapshot, Snapshot, SpaceSaving,
+    StreamConfig, StreamError, SNAPSHOT_VERSION,
+};
+use cellspotting::netaddr::{Asn, Block24, Block48, BlockId};
 
 use celldelta::{Delta, DeltaError, PatchChange, PatchOp};
 use cellload::{LoadError, Trace, TraceSegment};
@@ -107,6 +110,71 @@ fn trace() -> Trace {
     }
 }
 
+fn snapshot() -> Snapshot {
+    let v4 = BlockId::V4(Block24::from_index(0x0A_0000));
+    let v6 = BlockId::V6(Block48::from_index(0x2001_0db8_0001));
+    let mut sketch = HyperLogLog::new(4);
+    sketch.insert_u64(7);
+    let mut heavy = SpaceSaving::new(2);
+    heavy.offer(v4, 2.5);
+    heavy.offer(v6, 0.125);
+    heavy.offer(v4, 1.0);
+    Snapshot {
+        version: SNAPSHOT_VERSION,
+        config: StreamConfig {
+            shards: 2,
+            hll_precision: 4,
+            heavy_capacity: 2,
+        },
+        epochs_total: 4,
+        epochs_done: 1,
+        smoothing_days: 7,
+        shards: vec![
+            ShardSnapshot {
+                events_seen: 9,
+                beacons: vec![
+                    BeaconRow {
+                        block: v4,
+                        asn: Asn(64500),
+                        hits_total: 5,
+                        netinfo_hits: 4,
+                        cellular_hits: 3,
+                        wifi_hits: 1,
+                        other_hits: 0,
+                    },
+                    BeaconRow {
+                        block: v6,
+                        asn: Asn(64501),
+                        hits_total: 2,
+                        netinfo_hits: 1,
+                        cellular_hits: 0,
+                        wifi_hits: 1,
+                        other_hits: 0,
+                    },
+                ],
+                demand: vec![DemandRow {
+                    block: v4,
+                    asn: Asn(64500),
+                    acc: 3.5,
+                    days_seen: 2,
+                }],
+                resolvers: vec![ResolverRow {
+                    resolver: 3,
+                    sketch,
+                }],
+                heavy,
+            },
+            ShardSnapshot {
+                events_seen: 0,
+                beacons: vec![],
+                demand: vec![],
+                resolvers: vec![],
+                heavy: SpaceSaving::new(2),
+            },
+        ],
+    }
+}
+
 /// How a decoder refused its input, reduced to the classes callers
 /// branch on (exit codes, reload-rejection counters).
 #[derive(Debug, PartialEq, Eq)]
@@ -132,9 +200,8 @@ struct Format {
     /// The format's real decoder.
     decode: fn(&[u8]) -> Result<(), Refusal>,
     /// An in-place edit of the sealed bytes that breaks an invariant
-    /// the decoder checks past the seal. `None` for the checkpoint: its
-    /// body is JSON, validated by `cellstream::Snapshot`'s own tests.
-    damage: Option<fn(&mut [u8])>,
+    /// the decoder checks past the seal.
+    damage: fn(&mut [u8]),
 }
 
 /// Offset of the `u32` format version in every binary format: right
@@ -151,7 +218,7 @@ fn formats() -> Vec<Format> {
             // point also takes v2 bytes (see the cross-format test).
             decode: |b| Artifact::decode(b).map(drop).map_err(serve),
             // First label's class byte: magic, version, count, asn.
-            damage: Some(|b| b[8 + 4 + 4 + 4] = 9),
+            damage: |b| b[8 + 4 + 4 + 4] = 9,
         },
         Format {
             name: "CELLSERV v2",
@@ -162,11 +229,11 @@ fn formats() -> Vec<Format> {
             // header), with the header's quick-hash of the sections
             // refreshed as the writer would, so only the class check is
             // left to object.
-            damage: Some(|b| {
+            damage: |b| {
                 b[64 + 4] = 9;
                 let quick = content_hash(&b[64..b.len() - cellseal::TRAILER_LEN]);
                 b[16..24].copy_from_slice(&quick.to_le_bytes());
-            }),
+            },
         },
         Format {
             name: "CELLDELT",
@@ -181,7 +248,7 @@ fn formats() -> Vec<Format> {
             },
             // First v4 op's op byte: magic, version, two hashes, two
             // epochs, op count.
-            damage: Some(|b| b[8 + 4 + 32 + 4] = 7),
+            damage: |b| b[8 + 4 + 32 + 4] = 7,
         },
         Format {
             name: "CELLLOAD",
@@ -196,20 +263,23 @@ fn formats() -> Vec<Format> {
             // First query's family byte: magic, version, seed, preset
             // ("steady", length-prefixed), segment count, epoch, query
             // count.
-            damage: Some(|b| b[8 + 4 + 8 + 1 + 6 + 4 + 8 + 4] = 5),
+            damage: |b| b[8 + 4 + 8 + 1 + 6 + 4 + 8 + 4] = 5,
         },
         Format {
             name: "checkpoint",
-            sealed: cellstream::seal("{\"payload\": [1, 2, 3]}\n").into_bytes(),
-            golden: 0xaa07_0de9_3e7a_9ae1,
-            // A flip may break UTF-8 — that counts as detection too.
+            sealed: snapshot().to_bytes(),
+            golden: 0x72f6_4d4a_05fa_3c6f,
             decode: |b| {
-                let text = std::str::from_utf8(b).map_err(|_| Refusal::Corrupt)?;
-                cellstream::unseal(text)
-                    .map(drop)
-                    .map_err(|_| Refusal::Corrupt)
+                Snapshot::from_bytes(b).map(drop).map_err(|e| match e {
+                    StreamError::Integrity(_) | StreamError::Corrupt(_) => Refusal::Corrupt,
+                    StreamError::UnsupportedVersion(v) => Refusal::UnsupportedVersion(v),
+                    other => panic!("decoding bytes cannot fail with {other:?}"),
+                })
             },
-            damage: None,
+            // First beacon row's block family byte: magic, version,
+            // config (shards, precision, capacity), three epoch fields,
+            // shard count, events seen, beacon count.
+            damage: |b| b[8 + 4 + (4 + 1 + 8) + 12 + 4 + 8 + 4] = 5,
         },
     ]
 }
@@ -275,7 +345,7 @@ fn every_truncation_is_refused_as_corrupt() {
 fn a_newer_version_behind_a_valid_seal_is_unsupported_not_corrupt() {
     // A version no build writes (v1 + 1 would be CELLSERV v2).
     const NEWER: u32 = 9;
-    for f in formats().into_iter().filter(|f| f.damage.is_some()) {
+    for f in formats() {
         let mut bytes = f.sealed;
         bytes[VERSION_AT..VERSION_AT + 4].copy_from_slice(&NEWER.to_le_bytes());
         assert_eq!(
@@ -299,9 +369,8 @@ fn resealed_structural_damage_is_still_refused() {
     // A writer bug (or corruption plus a recomputed seal) passes the
     // CRC check; the structural validators must still refuse the body.
     for f in formats() {
-        let Some(damage) = f.damage else { continue };
         let mut bytes = f.sealed;
-        damage(&mut bytes);
+        (f.damage)(&mut bytes);
         cellseal::reseal(&mut bytes);
         assert_eq!((f.decode)(&bytes), Err(Refusal::Corrupt), "{}", f.name);
     }
