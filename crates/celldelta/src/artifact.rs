@@ -1,25 +1,30 @@
 //! Building and applying deltas against sealed CELLSERV v2 artifacts.
 //!
-//! Both directions run on *bytes*, because bytes are what the hashes
-//! chain on, and both read them through the one serving
-//! representation — the validated v2 view ([`cellserve::MappedIndex`])
-//! — whose traversal order (shortest prefix first, keys ascending) is
-//! exactly the `(len, key)` order a delta's ops are sorted in.
-//! [`build_delta`] walks base and target in that order, merge-joins
-//! them, and seals the differing prefixes with both content hashes
-//! embedded. [`apply_delta`] verifies the base hash, merges the base
-//! walk against the sorted op list in **one pass** — strictly: an add
-//! of a present prefix or an update/remove of an absent one is a
-//! conflict — straight into the canonical
-//! [`cellserve::FrozenIndexBuilder`], encodes v2, and verifies the
-//! result hashes to the delta's target. Because the CELLSERV encoding
-//! is canonical, the patched bytes are *byte-identical* to what a full
-//! rebuild at the delta's epoch would have produced — the equivalence
-//! the crate's property suite pins down.
+//! Both directions run on *validated views* of bytes — bytes are what
+//! the hashes chain on, and the one serving representation
+//! ([`cellserve::MappedIndex`]) is the only way to hold them: its
+//! validation pass sums the content hash, and its traversal order
+//! (shortest prefix first, keys ascending) is exactly the `(len, key)`
+//! order a delta's ops are sorted in. [`build_delta`] validates base
+//! and target, merge-joins the two walks, and seals the differing
+//! prefixes with both views' content hashes embedded.
+//! [`apply_to_view`] is the one apply path — [`apply_delta`] opens base
+//! bytes into a view for it, the daemon hands it the view it is serving
+//! — and verifies the base hash, merges the base walk against the
+//! sorted op list in **one pass** — strictly: an add of a present
+//! prefix or an update/remove of an absent one is a conflict — straight
+//! into the canonical [`cellserve::FrozenIndexBuilder`] (which, fed in
+//! order, sorts nothing), encodes v2, and verifies the result hashes to
+//! the delta's target. Because the CELLSERV encoding is canonical, the
+//! patched bytes are *byte-identical* to what a full rebuild at the
+//! delta's epoch would have produced — the equivalence the crate's
+//! property suite pins down.
 //!
 //! Apply is O(entries), not O(ops), and that is the chain rule's cost,
 //! not the merge's: the base hash before and the target hash after
-//! each cover the whole canonical artifact.
+//! each cover the whole canonical artifact. What apply does *not* do is
+//! pay that more than once: a base is hashed and validated when it
+//! becomes a view, never again.
 //!
 //! CELLSERV v1 artifacts are not patchable; convert them first with
 //! `cellspot index migrate`.
@@ -179,7 +184,7 @@ fn patch_family<K: Family>(
 ) -> Result<(), DeltaError> {
     // One pass is only sound over masked, strictly ascending ops.
     // `Delta::from_bytes` guarantees that; a `Delta` built in memory
-    // reaches `apply_parsed` unchecked.
+    // reaches `apply_to_view` unchecked.
     for (i, op) in ops.iter().enumerate() {
         if op.len > K::BITS || op.key.and(K::mask(op.len)) != op.key {
             return Err(DeltaError::Corrupt(format!("non-canonical key in op {i}")));
@@ -236,8 +241,8 @@ pub fn build_delta(
     let base = open_v2("base", base_bytes)?;
     let target = open_v2("target", target_bytes)?;
     let delta = Delta {
-        base_hash: content_hash(base_bytes),
-        target_hash: content_hash(target_bytes),
+        base_hash: base.content_hash(),
+        target_hash: target.content_hash(),
         base_epoch,
         epoch,
         v4: diff_family(&base, &target),
@@ -246,22 +251,26 @@ pub fn build_delta(
     Ok(delta.to_bytes())
 }
 
-/// Apply an already-decoded delta to base artifact bytes. Verifies the
-/// base hash before touching anything and the target hash after
-/// re-encoding; on success the returned bytes are byte-identical to
-/// the artifact the delta was built from.
-pub fn apply_parsed(base_bytes: &[u8], delta: &Delta) -> Result<Vec<u8>, DeltaError> {
-    let artifact = content_hash(base_bytes);
+/// Apply an already-decoded delta to a validated base view — the one
+/// apply path: [`apply_delta`] opens base bytes into a view first, the
+/// daemon hands over the view it is serving. Verifies the base hash
+/// (the one validation summed) before touching anything and the target
+/// hash after re-encoding; on success the returned bytes are
+/// byte-identical to the artifact the delta was built from.
+pub fn apply_to_view<B: AsRef<[u8]> + Sync>(
+    base: &MappedIndex<B>,
+    delta: &Delta,
+) -> Result<Vec<u8>, DeltaError> {
+    let artifact = base.content_hash();
     if artifact != delta.base_hash {
         return Err(DeltaError::BaseMismatch {
             delta_base: delta.base_hash,
             artifact,
         });
     }
-    let base = open_v2("base", base_bytes)?;
     let mut patched = FrozenIndexBuilder::new();
-    patch_family(&base, &delta.v4, &mut patched)?;
-    patch_family(&base, &delta.v6, &mut patched)?;
+    patch_family(base, &delta.v4, &mut patched)?;
+    patch_family(base, &delta.v6, &mut patched)?;
     let bytes = Artifact::encode(&patched.build(), ArtifactFormat::V2);
     let actual = content_hash(&bytes);
     if actual != delta.target_hash {
@@ -274,11 +283,11 @@ pub fn apply_parsed(base_bytes: &[u8], delta: &Delta) -> Result<Vec<u8>, DeltaEr
 }
 
 /// Decode a sealed delta and apply it to base artifact bytes — the
-/// full validation path: seal, structure, base hash, strict patch,
-/// target hash.
+/// full validation path: both seals, both structures, base hash, strict
+/// patch, target hash.
 pub fn apply_delta(base_bytes: &[u8], delta_bytes: &[u8]) -> Result<Vec<u8>, DeltaError> {
     let delta = Delta::from_bytes(delta_bytes)?;
-    apply_parsed(base_bytes, &delta)
+    apply_to_view(&open_v2("base", base_bytes)?, &delta)
 }
 
 #[cfg(test)]
@@ -363,7 +372,7 @@ mod tests {
             v4: Vec::new(),
             v6: Vec::new(),
         };
-        let err = apply_parsed(&v1, &delta).expect_err("v1 base");
+        let err = apply_delta(&v1, &delta.to_bytes()).expect_err("v1 base");
         assert!(matches!(err, DeltaError::Artifact(_)), "{err}");
         assert!(err.to_string().contains("migrate first"), "{err}");
     }
@@ -383,16 +392,15 @@ mod tests {
         let mut garbage = base.clone();
         let mid = garbage.len() / 2;
         garbage[mid] ^= 0x40;
-        // The hash moved, so this surfaces as a base mismatch — the
-        // delta never chains onto corrupted bytes.
-        let err = apply_delta(&garbage, &delta_bytes).expect_err("corrupt base");
-        assert!(matches!(err, DeltaError::BaseMismatch { .. }), "{err}");
-        // A delta forged to name the corrupted bytes gets past the
-        // hash and is stopped by validation instead.
+        // Base bytes become a view before anything reads their hash, so
+        // validation stops them — the delta never chains onto corrupted
+        // bytes, whether or not it was forged to name their hash.
         let mut forged = Delta::from_bytes(&delta_bytes).expect("decode");
         forged.base_hash = content_hash(&garbage);
-        let err = apply_parsed(&garbage, &forged).expect_err("corrupt base");
-        assert!(matches!(err, DeltaError::Artifact(_)), "{err}");
+        for delta_bytes in [delta_bytes, forged.to_bytes()] {
+            let err = apply_delta(&garbage, &delta_bytes).expect_err("corrupt base");
+            assert!(matches!(err, DeltaError::Artifact(_)), "{err}");
+        }
         assert!(
             build_delta(&garbage, &target, 1, 2).is_err(),
             "corrupt base fails validation"
@@ -412,7 +420,7 @@ mod tests {
     const AFTER: (u8, u32) = (32, 0x0102_0304);
     const PRESENT: [(u8, u32); 3] = [(8, 0x0A00_0000), (24, 0xC000_0200), (24, 0xC633_6400)];
 
-    /// Apply hand-built v4 ops to [`BASE`] through `apply_parsed`, the
+    /// Apply hand-built v4 ops to [`BASE`] through `apply_to_view`, the
     /// base hash matching so only the merge can object.
     fn apply_ops(ops: Vec<PatchOp<u32>>, target_hash: u64) -> Result<Vec<u8>, DeltaError> {
         let base = artifact(&BASE);
@@ -424,7 +432,7 @@ mod tests {
             v4: ops,
             v6: Vec::new(),
         };
-        apply_parsed(&base, &delta)
+        apply_to_view(&open_v2("base", &base)?, &delta)
     }
 
     fn op((len, key): (u8, u32), change: PatchChange) -> PatchOp<u32> {

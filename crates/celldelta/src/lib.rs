@@ -45,7 +45,7 @@ mod classify;
 mod counters;
 mod wire;
 
-pub use artifact::{apply_delta, apply_parsed, build_delta};
+pub use artifact::{apply_delta, apply_to_view, build_delta};
 pub use churn::ChurnWorld;
 pub use classify::{classify_epoch, IncrementalClassifier};
 pub use counters::{changed_blocks, BlockCounters, EpochCounters};

@@ -1,11 +1,13 @@
 //! The two checksums sealed files are built from: CRC-32 guards a body
 //! against corruption, FNV-1a 64 names a file's content.
 
-/// IEEE CRC-32 lookup table (reflected, polynomial `0xEDB88320`).
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// IEEE CRC-32 slicing-by-8 tables (reflected, polynomial
+/// `0xEDB88320`), 8 KiB: `CRC_TABLES[0]` is the classic per-byte table,
+/// `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -18,19 +20,50 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = tables[k - 1][i];
+            tables[k][i] = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// IEEE CRC-32 of `bytes` (the zlib/PNG variant).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+/// Fold `bytes` into the running (pre-inverted) CRC state one table
+/// look-up per byte: the tail of [`crc32`], and the reference its tests
+/// compare the sliced kernel against.
+fn crc32_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// IEEE CRC-32 of `bytes` (the zlib/PNG variant), eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes")) ^ c as u64;
+        let at = |k: usize| (word >> (8 * k)) as u8 as usize;
+        c = t[7][at(0)]
+            ^ t[6][at(1)]
+            ^ t[5][at(2)]
+            ^ t[4][at(3)]
+            ^ t[3][at(4)]
+            ^ t[2][at(5)]
+            ^ t[1][at(6)]
+            ^ t[0][at(7)];
+    }
+    crc32_bytewise(c, chunks.remainder()) ^ 0xFFFF_FFFF
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -45,6 +78,26 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// FNV-1a 64 of `bytes` and of `bytes[inner]` in one pass: the two
+/// multiply chains are independent, so over `inner` they cost what one
+/// does. CELLSERV v2 validation reads a file's content hash and its
+/// header's quick hash (the sections alone) this way.
+///
+/// # Panics
+/// When `inner` does not lie within `bytes`.
+pub fn fnv1a64_nested(bytes: &[u8], inner: std::ops::Range<usize>) -> (u64, u64) {
+    let mut whole = Fnv64::new();
+    whole.write(&bytes[..inner.start]);
+    let (mut h, mut part) = (whole.0, FNV_OFFSET);
+    for &b in &bytes[inner.start..inner.end] {
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+        part = (part ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    let mut whole = Fnv64(h);
+    whole.write(&bytes[inner.end..]);
+    (whole.finish(), part)
 }
 
 /// Incremental FNV-1a 64: hashing the concatenation of two byte
@@ -89,6 +142,57 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// A seeded byte stream (xorshift64), so the kernels are compared
+    /// on the same buffer every run.
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+        let buf = seeded_bytes(80);
+        for start in 0..8 {
+            for len in 0..=67 {
+                let bytes = &buf[start..start + len];
+                let reference = crc32_bytewise(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF;
+                assert_eq!(crc32(bytes), reference, "start {start}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn nested_hash_equals_the_two_separate_hashes() {
+        // The CELLSERV v2 shape: a 64-byte header, the sections, and a
+        // 16-byte trailer the inner hash leaves out.
+        for body_len in 64..=200 {
+            let bytes = seeded_bytes(body_len + 16);
+            assert_eq!(
+                fnv1a64_nested(&bytes, 64..body_len),
+                (fnv1a64(&bytes), fnv1a64(&bytes[64..body_len])),
+                "body length {body_len}"
+            );
+        }
+        // Degenerate ranges: everything, nothing, an empty input.
+        let bytes = seeded_bytes(33);
+        assert_eq!(
+            fnv1a64_nested(&bytes, 0..33),
+            (fnv1a64(&bytes), fnv1a64(&bytes))
+        );
+        assert_eq!(
+            fnv1a64_nested(&bytes, 7..7),
+            (fnv1a64(&bytes), fnv1a64(b""))
+        );
+        assert_eq!(fnv1a64_nested(b"", 0..0), (fnv1a64(b""), fnv1a64(b"")));
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! format parser sees a byte of it.
 //!
 //! The crate also owns the two checksums the formats are built from
-//! ([`crc32`], FNV-1a 64 as [`fnv1a64`]/[`Fnv64`]) and the crash-safe
+//! ([`crc32`], FNV-1a 64 as [`fnv1a64`]/[`fnv1a64_nested`]/[`Fnv64`])
+//! and the crash-safe
 //! [`write_atomic_bytes`] every sealed file is published with. It
 //! depends on nothing, so a crate that only needs to seal or verify a
 //! file does not link the ingest engine to do it.
@@ -33,6 +34,6 @@ mod envelope;
 mod reader;
 
 pub use atomic::write_atomic_bytes;
-pub use checksum::{crc32, fnv1a64, Fnv64};
+pub use checksum::{crc32, fnv1a64, fnv1a64_nested, Fnv64};
 pub use envelope::{open, reseal, seal, seal_in_place, SealError, TRAILER_LEN};
 pub use reader::Reader;

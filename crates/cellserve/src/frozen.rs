@@ -9,6 +9,14 @@
 //! [`Artifact::encode`](crate::Artifact::encode) serializes it without
 //! transformation and the same entries always seal to the same bytes.
 //!
+//! [`FrozenIndexBuilder`] gets there by sorting at most once: inserts
+//! append to one vector per family, and `build` leaves a vector alone
+//! when it is already strictly ascending by `(len, key)` — which is how
+//! a delta merge and every [`IndexView`](crate::IndexView) walk feed it
+//! — and otherwise stable-sorts it and keeps the last insert of each
+//! prefix. The label table is the labels sorted and deduplicated; a
+//! label's id is its position there.
+//!
 //! It does not answer lookups. Serving runs over the sealed v2 bytes
 //! ([`MappedIndex`](crate::MappedIndex) / [`ArtifactHandle`](crate::ArtifactHandle)),
 //! whose longest-prefix match is pinned against [`netaddr::PrefixTrie`]
@@ -19,7 +27,7 @@
 //! This module also owns the label and key-codec types every sealed
 //! format shares ([`ServeLabel`], [`AsClass`], [`PrefixCodec`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use cellspot::{Classification, MixedAnalysis};
 use netaddr::{Asn, BlockId, Ipv4Net, Ipv6Net};
@@ -109,6 +117,9 @@ pub(crate) trait PrefixKey: PrefixCodec {
     /// The low 32 bits of the key — the v2 root table buckets IPv4
     /// keys by `low32() >> 16` (lossy for IPv6, which never uses it).
     fn low32(self) -> u32;
+    /// Store the key into exactly [`PrefixCodec::SIZE`] little-endian
+    /// bytes of an output buffer.
+    fn put_le(self, out: &mut [u8]);
 }
 
 /// Fibonacci-hashing multiplier (2^64 / φ): mixes the high bits well
@@ -154,6 +165,11 @@ impl PrefixKey for u32 {
     fn low32(self) -> u32 {
         self
     }
+
+    #[inline]
+    fn put_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
 }
 
 impl PrefixCodec for u128 {
@@ -193,6 +209,11 @@ impl PrefixKey for u128 {
     #[inline]
     fn low32(self) -> u32 {
         self as u32
+    }
+
+    #[inline]
+    fn put_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
 }
 
@@ -342,8 +363,8 @@ impl FrozenIndex {
 /// freezes to an index with identical lookups.
 #[derive(Clone, Debug, Default)]
 pub struct FrozenIndexBuilder {
-    v4: BTreeMap<(u8, u32), ServeLabel>,
-    v6: BTreeMap<(u8, u128), ServeLabel>,
+    v4: Vec<((u8, u32), ServeLabel)>,
+    v6: Vec<((u8, u128), ServeLabel)>,
 }
 
 impl FrozenIndexBuilder {
@@ -354,50 +375,70 @@ impl FrozenIndexBuilder {
 
     /// Add (or replace) an IPv4 prefix.
     pub fn insert_v4(&mut self, net: Ipv4Net, label: ServeLabel) {
-        self.v4.insert((net.len(), net.addr()), label);
+        self.v4.push(((net.len(), net.addr()), label));
     }
 
     /// Add (or replace) an IPv6 prefix.
     pub fn insert_v6(&mut self, net: Ipv6Net, label: ServeLabel) {
-        self.v6.insert((net.len(), net.addr()), label);
+        self.v6.push(((net.len(), net.addr()), label));
     }
 
     /// Freeze into the immutable index. Canonical by construction: the
     /// label table is deduplicated and sorted, levels are ordered
     /// longest-first, keys within a level strictly ascending — the same
     /// builder contents always freeze to byte-identical artifacts.
-    pub fn build(self) -> FrozenIndex {
-        let labels: Vec<ServeLabel> = self
-            .v4
-            .values()
-            .chain(self.v6.values())
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let ids: BTreeMap<ServeLabel, u32> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (*l, i as u32))
-            .collect();
+    pub fn build(mut self) -> FrozenIndex {
+        canonicalize(&mut self.v4);
+        canonicalize(&mut self.v6);
+        let (v4, v6) = (self.v4.iter().map(|e| e.1), self.v6.iter().map(|e| e.1));
+        let mut labels: Vec<ServeLabel> = v4.chain(v6).collect();
+        labels.sort_unstable();
+        labels.dedup();
         FrozenIndex {
-            v4: family_from_map(self.v4, &ids),
-            v6: family_from_map(self.v6, &ids),
+            v4: family_from_sorted(&self.v4, &labels),
+            v6: family_from_sorted(&self.v6, &labels),
             labels,
         }
     }
 }
 
-/// Group a `(len, key) → label` map into longest-first levels.
-fn family_from_map<K: PrefixKey>(
-    map: BTreeMap<(u8, K), ServeLabel>,
-    ids: &BTreeMap<ServeLabel, u32>,
+/// Put one family's entries in `(len, key)` order with one entry per
+/// prefix, the last inserted. Strictly ascending input is left alone.
+fn canonicalize<K: Ord + Copy>(entries: &mut Vec<((u8, K), ServeLabel)>) {
+    if entries.windows(2).all(|w| w[0].0 < w[1].0) {
+        return;
+    }
+    // Stable, so equal prefixes stay in insertion order; `dedup_by`
+    // hands over (later, kept) and drops `later`, so carrying its label
+    // across first leaves the last insert standing.
+    entries.sort_by_key(|&(at, _)| at);
+    entries.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
+        }
+        same
+    });
+}
+
+/// Group `(len, key)`-ascending entries into longest-first levels.
+fn family_from_sorted<K: PrefixKey>(
+    entries: &[((u8, K), ServeLabel)],
+    labels: &[ServeLabel],
 ) -> FamilyIndex<K> {
     let mut levels: Vec<Level<K>> = Vec::new();
-    // BTreeMap iteration is (len ascending, key ascending) — exactly one
-    // contiguous run per length, already sorted within it.
-    for ((len, key), label) in map {
-        let idx = ids[&label];
+    // Neighbouring prefixes mostly share an origin AS, so the previous
+    // entry's id answers most look-ups before the binary search.
+    let mut last: Option<(ServeLabel, u32)> = None;
+    // One contiguous run per length, already sorted within it.
+    for &((len, key), label) in entries {
+        let idx = match last {
+            Some((l, idx)) if l == label => idx,
+            _ => labels
+                .binary_search(&label)
+                .expect("the table holds every entry's label") as u32,
+        };
+        last = Some((label, idx));
         match levels.last_mut() {
             Some(level) if level.len == len => {
                 level.keys.push(key);
@@ -419,6 +460,7 @@ mod tests {
     use super::*;
     use crate::handle::served;
     use crate::view::IndexView;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn label(asn: u32, class: AsClass) -> ServeLabel {
         ServeLabel {
@@ -532,6 +574,117 @@ mod tests {
             rev.insert_v4(*n, *l);
         }
         assert_eq!(fwd.build(), rev.build());
+    }
+
+    /// The builder this one replaced, kept as the model: `BTreeMap`s
+    /// give last-wins and `(len, key)` order by construction.
+    fn model_family<K: PrefixKey>(
+        map: &BTreeMap<(u8, K), ServeLabel>,
+        ids: &BTreeMap<ServeLabel, u32>,
+    ) -> FamilyIndex<K> {
+        let mut levels: Vec<Level<K>> = Vec::new();
+        for (&(len, key), label) in map {
+            if levels.last().map(|l| l.len) != Some(len) {
+                levels.push(Level {
+                    len,
+                    keys: Vec::new(),
+                    labels: Vec::new(),
+                });
+            }
+            let level = levels.last_mut().expect("just pushed");
+            level.keys.push(key);
+            level.labels.push(ids[label]);
+        }
+        levels.reverse();
+        FamilyIndex { levels }
+    }
+
+    #[test]
+    fn shuffled_duplicated_inserts_build_what_the_last_wins_model_builds() {
+        let mut x = 0x5EED_CE11_5707_0001u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let classes = [AsClass::Unknown, AsClass::Dedicated, AsClass::Mixed];
+        let any_label = |r: u64| label((r >> 8) as u32 % 97, classes[(r >> 40) as usize % 3]);
+        // Keys drawn from a universe smaller than the insert count, in
+        // shuffled (hash) order: duplicates at every length, and three
+        // lengths per family so every level boundary is crossed.
+        let mut seq4: Vec<(Ipv4Net, ServeLabel)> = Vec::new();
+        let mut seq6: Vec<(Ipv6Net, ServeLabel)> = Vec::new();
+        for _ in 0..9_000 {
+            let r = next();
+            let len = [8u8, 16, 24][(r >> 4) as usize % 3];
+            let key = ((r >> 16) as u32 % 6_000).wrapping_mul(0x9E37_79B1) & u32::mask(len);
+            seq4.push((Ipv4Net::new(key, len).expect("masked"), any_label(next())));
+        }
+        for _ in 0..3_000 {
+            let r = next();
+            let len = [32u8, 48, 64][(r >> 4) as usize % 3];
+            let key = (((r >> 16) % 2_000) as u128).wrapping_mul(0x9E37_79B9_7F4A_7C15 << 64)
+                & u128::mask(len);
+            seq6.push((Ipv6Net::new(key, len).expect("masked"), any_label(next())));
+        }
+        // One prefix per family inserted first, in the middle and last,
+        // under three labels: only the last may survive.
+        let (p4, p6) = (v4("198.51.100.0/24"), v6("2001:db8:7::/48"));
+        let (first, middle, last) = (
+            label(1, AsClass::Mixed),
+            label(2, AsClass::Unknown),
+            label(3, AsClass::Dedicated),
+        );
+        seq4.insert(0, (p4, first));
+        seq4.insert(seq4.len() / 2, (p4, middle));
+        seq4.push((p4, last));
+        seq6.insert(0, (p6, first));
+        seq6.insert(seq6.len() / 2, (p6, middle));
+        seq6.push((p6, last));
+        assert!(seq4.len() + seq6.len() >= 10_000);
+
+        let mut shuffled = FrozenIndex::builder();
+        let mut m4: BTreeMap<(u8, u32), ServeLabel> = BTreeMap::new();
+        let mut m6: BTreeMap<(u8, u128), ServeLabel> = BTreeMap::new();
+        for &(net, l) in &seq4 {
+            shuffled.insert_v4(net, l);
+            m4.insert((net.len(), net.addr()), l);
+        }
+        for &(net, l) in &seq6 {
+            shuffled.insert_v6(net, l);
+            m6.insert((net.len(), net.addr()), l);
+        }
+        assert!(m4.len() < seq4.len() && m6.len() < seq6.len(), "duplicates");
+        assert_eq!(m4[&(24, p4.addr())], last);
+        assert_eq!(m6[&(48, p6.addr())], last);
+
+        let labels: Vec<ServeLabel> = (m4.values().chain(m6.values()).copied())
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let ids = (labels.iter().enumerate().map(|(i, l)| (*l, i as u32))).collect();
+        let model = FrozenIndex {
+            v4: model_family(&m4, &ids),
+            v6: model_family(&m6, &ids),
+            labels,
+        };
+        let shuffled = shuffled.build();
+        assert_eq!(shuffled, model);
+        assert_eq!(shuffled.v4.levels.len(), 3);
+        assert_eq!(shuffled.v6.levels.len(), 3);
+
+        // The same entries arriving already ascending — what a delta
+        // merge or a view walk feeds the builder — skip the sort and
+        // must land on the same index.
+        let mut ascending = FrozenIndex::builder();
+        for (&(len, key), &l) in &m4 {
+            ascending.insert_v4(Ipv4Net::new(key, len).expect("masked"), l);
+        }
+        for (&(len, key), &l) in &m6 {
+            ascending.insert_v6(Ipv6Net::new(key, len).expect("masked"), l);
+        }
+        assert_eq!(ascending.build(), model);
     }
 
     #[test]

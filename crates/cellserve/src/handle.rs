@@ -89,7 +89,7 @@ impl Artifact {
             let file = File::open(path).map_err(io)?;
             let len = file.metadata().map_err(io)?.len() as usize;
             if let Ok(map) = mm::Mmap::map(&file, len) {
-                return MappedIndex::new(ArtifactBytes::new(Buf::Mapped(map)));
+                return MappedIndex::new(ArtifactBytes(Buf::Mapped(map)));
             }
         }
         Self::from_bytes(&std::fs::read(path).map_err(io)?)
@@ -102,9 +102,7 @@ impl Artifact {
     /// [`ServeError::Corrupt`] or [`ServeError::UnsupportedVersion`]
     /// (v1 bytes included).
     pub fn from_bytes(bytes: &[u8]) -> Result<ArtifactHandle, ServeError> {
-        MappedIndex::new(ArtifactBytes::new(Buf::Owned(AlignedBytes::from_slice(
-            bytes,
-        ))))
+        MappedIndex::new(ArtifactBytes(Buf::Owned(AlignedBytes::from_slice(bytes))))
     }
 
     /// Serialize an index into the requested sealed format.
@@ -193,12 +191,8 @@ fn read_fully(file: &mut File, buf: &mut [u8]) -> std::io::Result<usize> {
 pub type ArtifactHandle = MappedIndex<ArtifactBytes>;
 
 /// The byte owner behind an [`ArtifactHandle`]: the sealed file as an
-/// `mmap` or as one aligned read, plus the content hash delta chains
-/// name it by (hashed once, at load).
-pub struct ArtifactBytes {
-    buf: Buf,
-    content_hash: u64,
-}
+/// `mmap` or as one aligned read.
+pub struct ArtifactBytes(Buf);
 
 enum Buf {
     Owned(AlignedBytes),
@@ -220,28 +214,14 @@ impl Buf {
     }
 }
 
-impl ArtifactBytes {
-    fn new(buf: Buf) -> ArtifactBytes {
-        ArtifactBytes {
-            content_hash: content_hash(buf.as_slice()),
-            buf,
-        }
-    }
-}
-
 impl AsRef<[u8]> for ArtifactBytes {
     #[inline]
     fn as_ref(&self) -> &[u8] {
-        self.buf.as_slice()
+        self.0.as_slice()
     }
 }
 
 impl ArtifactHandle {
-    /// FNV-1a content hash of [`MappedIndex::sealed_bytes`].
-    pub fn content_hash(&self) -> u64 {
-        self.owner().content_hash
-    }
-
     /// Sealed file size in bytes.
     pub fn source_len(&self) -> u64 {
         self.sealed_bytes().len() as u64
@@ -260,7 +240,7 @@ impl ArtifactHandle {
 
     /// True when the handle serves straight out of an `mmap`.
     pub fn is_mapped(&self) -> bool {
-        !matches!(self.owner().buf, Buf::Owned(_))
+        !matches!(self.owner().0, Buf::Owned(_))
     }
 }
 
@@ -284,11 +264,11 @@ struct AlignedBytes {
 impl AlignedBytes {
     fn from_slice(bytes: &[u8]) -> AlignedBytes {
         let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        for (i, chunk) in bytes.chunks(8).enumerate() {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            words[i] = u64::from_ne_bytes(w);
-        }
+        // SAFETY: the words buffer holds ≥ `bytes.len()` initialized
+        // bytes, u64 → u8 loosens alignment, and the view ends with this
+        // statement, before `words` is moved.
+        unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, bytes.len()) }
+            .copy_from_slice(bytes);
         AlignedBytes {
             words,
             len: bytes.len(),
@@ -298,8 +278,8 @@ impl AlignedBytes {
     #[inline]
     fn as_slice(&self) -> &[u8] {
         // SAFETY: the words buffer holds ≥ `len` initialized bytes and
-        // u64 → u8 loosens alignment; `from_ne_bytes` above preserved
-        // the original byte order.
+        // u64 → u8 loosens alignment; `from_slice` copied the bytes in
+        // through the same view, so their order is the original's.
         unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
     }
 }
@@ -447,6 +427,14 @@ mod tests {
         }
         assert!(!loaded.is_mapped());
         assert_eq!(loaded.copied_bytes(), bytes.len() as u64);
+        // Every view carries the hash of the bytes it validated — mmap
+        // and owned above, borrowed here.
+        assert_eq!(opened.is_mapped(), cfg!(unix));
+        let borrowed = MappedIndex::new(&bytes[..]).expect("borrowed view");
+        assert_eq!(
+            borrowed.content_hash(),
+            content_hash(borrowed.sealed_bytes())
+        );
     }
 
     #[test]

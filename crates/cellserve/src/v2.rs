@@ -150,6 +150,7 @@ struct V2Layout {
     v4: Vec<LevelRef>,
     v6: Vec<LevelRef>,
     quick_hash: u64,
+    content_hash: u64,
 }
 
 impl V2Layout {
@@ -427,11 +428,8 @@ pub(crate) fn encode(index: &FrozenIndex) -> Vec<u8> {
         let (keys_off, labels_off, aux_off) = p;
         let n = level.keys.len();
         if plan_layout == LAYOUT_ROOT16 {
-            let mut buf = Vec::with_capacity(K::SIZE);
             for (i, &key) in level.keys.iter().enumerate() {
-                buf.clear();
-                key.write_le(&mut buf);
-                out[keys_off + i * K::SIZE..keys_off + (i + 1) * K::SIZE].copy_from_slice(&buf);
+                key.put_le(&mut out[keys_off + i * K::SIZE..keys_off + (i + 1) * K::SIZE]);
                 out[labels_off + i * 4..labels_off + i * 4 + 4]
                     .copy_from_slice(&level.labels[i].to_le_bytes());
             }
@@ -446,12 +444,9 @@ pub(crate) fn encode(index: &FrozenIndex) -> Vec<u8> {
             }
         } else {
             let perm = eytzinger_perm(n);
-            let mut buf = Vec::with_capacity(K::SIZE);
             for (phys, &sorted) in perm.iter().enumerate() {
-                buf.clear();
-                level.keys[sorted].write_le(&mut buf);
-                out[keys_off + phys * K::SIZE..keys_off + (phys + 1) * K::SIZE]
-                    .copy_from_slice(&buf);
+                level.keys[sorted]
+                    .put_le(&mut out[keys_off + phys * K::SIZE..keys_off + (phys + 1) * K::SIZE]);
                 out[labels_off + phys * 4..labels_off + phys * 4 + 4]
                     .copy_from_slice(&level.labels[sorted].to_le_bytes());
             }
@@ -538,7 +533,10 @@ fn parse(buf: &[u8]) -> Result<V2Layout, ServeError> {
     if body_len != body.len() {
         return Err(corrupt("header body length disagrees with the trailer"));
     }
-    if quick_hash != content_hash(&body[HEADER_LEN..]) {
+    // One pass names the file (what delta chains hash) and checks the
+    // header's fingerprint of the sections.
+    let (content_hash, sections_hash) = cellseal::fnv1a64_nested(buf, HEADER_LEN..body_len);
+    if quick_hash != sections_hash {
         return Err(corrupt("quick-hash fingerprint mismatch"));
     }
 
@@ -698,6 +696,7 @@ fn parse(buf: &[u8]) -> Result<V2Layout, ServeError> {
         v4,
         v6,
         quick_hash,
+        content_hash,
     };
 
     // Structural validation of every level's contents, in place.
@@ -787,6 +786,13 @@ impl<B: AsRef<[u8]> + Sync> MappedIndex<B> {
     /// The header's cheap content fingerprint (FNV-1a of the sections).
     pub fn quick_hash(&self) -> u64 {
         self.layout.quick_hash
+    }
+
+    /// FNV-1a content hash of [`sealed_bytes`](Self::sealed_bytes) —
+    /// the name delta chains know this artifact by, summed once, by the
+    /// validation pass.
+    pub fn content_hash(&self) -> u64 {
+        self.layout.content_hash
     }
 
     /// The sealed bytes exactly as validated — what delta chains hash.

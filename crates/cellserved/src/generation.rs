@@ -19,12 +19,19 @@
 //! epoch, which together let sealed [`celldelta`] deltas patch the live
 //! index in place of a full reload: a delta is accepted only if its
 //! base hash matches the serving generation and its epoch advances past
-//! the generation's. The same validate-outside-the-lock discipline
-//! applies — a wrong-base, stale, or corrupt delta never reaches the
-//! swap point.
+//! the generation's. The patch runs on the generation's own handle —
+//! validated and hashed once, when it was installed — and its output is
+//! validated in full before it can serve. The same
+//! validate-outside-the-lock discipline applies — a wrong-base, stale,
+//! or corrupt delta never reaches the swap point.
+//!
+//! Reloads and deltas share one `install`: the write lock covers the
+//! base re-check and the pointer swap, nothing else; the `served.*`
+//! gauges are set after it is released.
 
 use std::path::Path;
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 use celldelta::{Delta, DeltaError};
 use cellobs::Observer;
@@ -103,26 +110,43 @@ impl GenerationStore {
         self.current().number
     }
 
-    /// Install a validated handle as the next generation (write lock
-    /// held only for the pointer swap) and refresh the gauges.
-    fn install(&self, handle: ArtifactHandle, epoch: u64) -> u64 {
+    /// Install a validated handle as the next generation — the one
+    /// install path: the write lock is held for the pointer swap only,
+    /// and the gauges are refreshed after it is released. A delta names
+    /// the `base` hash it chained on, which is re-checked under the
+    /// lock (a concurrent reload may have swapped underneath, and the
+    /// chain rule holds against whatever serves *now*); `Err` carries
+    /// the hash serving instead.
+    fn install(&self, handle: ArtifactHandle, epoch: u64, base: Option<u64>) -> Result<u64, u64> {
         let gen;
-        let number = {
+        {
             let mut cur = self.current.write().expect("generation lock poisoned");
-            let number = cur.number + 1;
+            if base.is_some_and(|base| base != cur.artifact_hash) {
+                return Err(cur.artifact_hash);
+            }
             gen = Arc::new(Generation {
-                number,
+                number: cur.number + 1,
                 artifact_bytes: handle.source_len(),
                 artifact_hash: handle.content_hash(),
                 epoch,
                 index: Arc::new(handle),
             });
             *cur = Arc::clone(&gen);
-            number
-        };
-        self.obs.gauge("served.generation").set(number);
+        }
+        self.obs.gauge("served.generation").set(gen.number);
         Self::set_artifact_gauges(&self.obs, &gen);
-        number
+        Ok(gen.number)
+    }
+
+    /// Swap a loaded candidate in as the next generation, or count the
+    /// load failure as a rejected reload.
+    fn reload(&self, loaded: Result<ArtifactHandle, ServeError>) -> Result<u64, ServeError> {
+        let handle = loaded.inspect_err(|_| self.obs.counter("served.reload.rejected").inc())?;
+        let number = self
+            .install(handle, 0, None)
+            .expect("a full reload names no base to mismatch");
+        self.obs.counter("served.reload.ok").inc();
+        Ok(number)
     }
 
     /// Validate candidate artifact bytes and, on success, atomically
@@ -133,16 +157,7 @@ impl GenerationStore {
     /// counter is bumped.
     pub fn try_swap_bytes(&self, bytes: &[u8]) -> Result<u64, ServeError> {
         // Validate outside the lock: candidate cost never stalls readers.
-        let handle = match Artifact::from_bytes(bytes) {
-            Ok(handle) => handle,
-            Err(e) => {
-                self.obs.counter("served.reload.rejected").inc();
-                return Err(e);
-            }
-        };
-        let number = self.install(handle, 0);
-        self.obs.counter("served.reload.ok").inc();
-        Ok(number)
+        self.reload(Artifact::from_bytes(bytes))
     }
 
     /// [`try_swap_bytes`](Self::try_swap_bytes) from a file, loading
@@ -150,16 +165,7 @@ impl GenerationStore {
     /// than copied; an unreadable or invalid candidate counts as a
     /// rejected reload.
     pub fn try_swap_path(&self, path: &Path) -> Result<u64, ServedError> {
-        let handle = match Artifact::open(path) {
-            Ok(handle) => handle,
-            Err(e) => {
-                self.obs.counter("served.reload.rejected").inc();
-                return Err(ServedError::Artifact(e));
-            }
-        };
-        let number = self.install(handle, 0);
-        self.obs.counter("served.reload.ok").inc();
-        Ok(number)
+        Ok(self.reload(Artifact::open(path))?)
     }
 
     /// Validate sealed delta bytes against the live generation and, on
@@ -170,16 +176,16 @@ impl GenerationStore {
     /// artifact sits at epoch 0 and accepts any delta that chains on
     /// it). Every failure — broken seal, wrong base, stale epoch, patch
     /// conflict, target-hash mismatch — bumps `served.delta.rejected`
-    /// and leaves the old generation serving untouched.
+    /// and leaves the old generation serving untouched. An accepted
+    /// delta adds its op count to `served.delta.ops` and its wall time,
+    /// decode to swap, to the `served.delta.patch.ns` histogram.
     pub fn try_apply_delta_bytes(&self, delta_bytes: &[u8]) -> Result<u64, ServedError> {
+        let started = Instant::now();
         let reject = |e: ServedError| {
             self.obs.counter("served.delta.rejected").inc();
             e
         };
-        let delta = match Delta::from_bytes(delta_bytes) {
-            Ok(d) => d,
-            Err(e) => return Err(reject(ServedError::Delta(e))),
-        };
+        let delta = Delta::from_bytes(delta_bytes).map_err(|e| reject(e.into()))?;
         let cur = self.current();
         if cur.epoch > 0 && delta.epoch <= cur.epoch {
             return Err(reject(ServedError::Delta(DeltaError::StaleEpoch {
@@ -187,43 +193,26 @@ impl GenerationStore {
                 delta: delta.epoch,
             })));
         }
-        // Patch the generation's sealed bytes, outside any lock;
-        // `apply_parsed` verifies the base hash before touching
-        // anything and the target hash after re-encoding.
-        let patched = match celldelta::apply_parsed(cur.index.sealed_bytes(), &delta) {
-            Ok(b) => b,
-            Err(e) => return Err(reject(ServedError::Delta(e))),
-        };
-        let handle = match Artifact::from_bytes(&patched) {
-            Ok(h) => h,
-            Err(e) => return Err(reject(ServedError::Artifact(e))),
-        };
-        let number = {
-            let mut w = self.current.write().expect("generation lock poisoned");
-            // A concurrent reload may have swapped underneath; the
-            // chain rule holds against whatever serves *now*.
-            if w.artifact_hash != delta.base_hash {
-                let artifact = w.artifact_hash;
-                drop(w);
-                return Err(reject(ServedError::Delta(DeltaError::BaseMismatch {
+        // Patch the view this generation serves — validated when it was
+        // installed, its content hash with it — outside any lock;
+        // `apply_to_view` checks the base hash before touching anything
+        // and the target hash after re-encoding, and the patched bytes
+        // are validated in full before they can serve.
+        let patched = celldelta::apply_to_view(&cur.index, &delta).map_err(|e| reject(e.into()))?;
+        let handle = Artifact::from_bytes(&patched).map_err(|e| reject(e.into()))?;
+        let number = self
+            .install(handle, delta.epoch, Some(delta.base_hash))
+            .map_err(|artifact| {
+                reject(ServedError::Delta(DeltaError::BaseMismatch {
                     delta_base: delta.base_hash,
                     artifact,
-                })));
-            }
-            let number = w.number + 1;
-            let gen = Arc::new(Generation {
-                number,
-                artifact_bytes: patched.len() as u64,
-                artifact_hash: delta.target_hash,
-                epoch: delta.epoch,
-                index: Arc::new(handle),
-            });
-            Self::set_artifact_gauges(&self.obs, &gen);
-            *w = gen;
-            number
-        };
+                }))
+            })?;
         self.obs.counter("served.delta.ok").inc();
-        self.obs.gauge("served.generation").set(number);
+        let ops = delta.op_count() as u64;
+        self.obs.counter("served.delta.ops").add(ops);
+        let patch_ns = started.elapsed().as_nanos() as u64;
+        self.obs.histogram("served.delta.patch.ns").record(patch_ns);
         Ok(number)
     }
 
@@ -355,9 +344,17 @@ mod tests {
         assert_eq!(cur.artifact_hash, cellserve::content_hash(&target));
         let (_, label) = cur.index.lookup_v4(0x0A000001).expect("patched gen serves");
         assert_eq!(label.asn, Asn(2));
+        // Patching the served view and patching the bytes are one path.
+        let offline = celldelta::apply_delta(&base, &delta).expect("apply");
+        assert_eq!(cur.index.sealed_bytes(), &offline[..]);
+        assert_eq!(cur.artifact_bytes, offline.len() as u64);
         let snap = obs.snapshot();
         assert_eq!(snap.counters["served.delta.ok"], 1);
+        assert_eq!(snap.counters["served.delta.ops"], 1);
+        assert_eq!(snap.histograms["served.delta.patch.ns"].count, 1);
         assert_eq!(snap.gauges["served.epoch"], 1);
+        assert_eq!(snap.gauges["served.generation"], 2);
+        assert_eq!(snap.gauges["served.artifact.hash"], cur.artifact_hash);
 
         // Replaying the same delta is stale: epoch 1 does not advance
         // past the live epoch 1, and its base no longer chains anyway.
@@ -395,5 +392,7 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counters["served.delta.rejected"], 2);
         assert!(!snap.counters.contains_key("served.delta.ok"));
+        assert!(!snap.counters.contains_key("served.delta.ops"));
+        assert!(!snap.histograms.contains_key("served.delta.patch.ns"));
     }
 }

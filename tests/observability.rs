@@ -8,10 +8,14 @@ use std::collections::BTreeMap;
 
 use cellspotting::cdnsim::{self, CdnConfig, EventSource};
 use cellspotting::cellobs::json::Json;
-use cellspotting::cellobs::{ExportFormat, Observer};
-use cellspotting::cellspot::{Pipeline, StudyConfig};
+use cellspotting::cellobs::{ExportFormat, ObsSnapshot, Observer};
+use cellspotting::cellserve::{Artifact, ArtifactFormat};
+use cellspotting::cellspot::{Pipeline, StudyConfig, DEFAULT_THRESHOLD};
 use cellspotting::cellstream::{IngestEngine, ResolverMap, StreamConfig};
 use cellspotting::worldgen::{World, WorldConfig};
+
+use celldelta::{build_delta, classify_epoch, ChurnWorld, Delta};
+use cellserved::GenerationStore;
 
 /// The eleven study stages `cellspot::Pipeline::run` reports, in order.
 const STUDY_STAGES: [&str; 11] = [
@@ -57,7 +61,7 @@ fn observed_study_export(threads: usize) -> String {
 
 /// Stream the mini world's event stream through `shards` shards and
 /// return the observer's snapshot.
-fn observed_stream_snapshot(shards: u32) -> cellspotting::cellobs::ObsSnapshot {
+fn observed_stream_snapshot(shards: u32) -> ObsSnapshot {
     let obs = Observer::enabled();
     let world = World::generate(WorldConfig::mini().with_seed(0xBEEF));
     let dns = cellspotting::dnssim::generate_dns(&world);
@@ -86,6 +90,58 @@ fn redacted_export_is_byte_identical_across_thread_counts() {
         one, eight,
         "redacted observability export must not depend on the rayon thread count"
     );
+}
+
+/// Hot-patch a live `GenerationStore` through three churn epochs inside
+/// a private rayon pool of `threads` workers; returns the daemon-side
+/// snapshot and the number of ops the three deltas carried.
+fn observed_patch_snapshot(threads: usize) -> (ObsSnapshot, u64) {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("local rayon pool")
+        .install(|| {
+            let obs = Observer::enabled();
+            let churn = ChurnWorld::demo(0xD17A);
+            let seal = |epoch: u64| {
+                let index = classify_epoch(&churn.epoch_counters(epoch), DEFAULT_THRESHOLD);
+                Artifact::encode(&index, ArtifactFormat::V2)
+            };
+            let mut live = seal(0);
+            let handle = Artifact::from_bytes(&live).expect("sealed base validates");
+            let store = GenerationStore::from_handle(handle, obs.clone());
+            let mut ops = 0;
+            for epoch in 1..=3 {
+                let target = seal(epoch);
+                let delta = build_delta(&live, &target, epoch - 1, epoch).expect("build delta");
+                ops += Delta::from_bytes(&delta).expect("decode").op_count() as u64;
+                store.try_apply_delta_bytes(&delta).expect("hot patch");
+                live = target;
+            }
+            (obs.snapshot(), ops)
+        })
+}
+
+/// The daemon's own patch metrics join the determinism contract:
+/// `served.delta.ops`, every other counter and gauge, and the *count*
+/// of `served.delta.patch.ns` are functions of the deltas alone. (The
+/// histogram's sum and buckets are wall clock, which the redacted
+/// export does not strip from histograms, so it is compared by count.)
+#[test]
+fn delta_patch_metrics_are_identical_across_thread_counts() {
+    let (one, ops) = observed_patch_snapshot(1);
+    let (eight, _) = observed_patch_snapshot(8);
+    assert_eq!(one.counters, eight.counters);
+    assert_eq!(one.gauges, eight.gauges);
+    let counts = |s: &ObsSnapshot| -> Vec<(String, u64)> {
+        (s.histograms.iter().map(|(name, h)| (name.clone(), h.count))).collect()
+    };
+    assert_eq!(counts(&one), counts(&eight));
+    assert!(ops > 0, "the churn world changes labels every epoch");
+    assert_eq!(one.counters["served.delta.ops"], ops);
+    assert_eq!(one.counters["served.delta.ok"], 3);
+    assert_eq!(one.histograms["served.delta.patch.ns"].count, 3);
+    assert_eq!(one.gauges["served.epoch"], 3);
 }
 
 /// Two identical runs produce byte-identical redacted exports (the
