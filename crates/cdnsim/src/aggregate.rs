@@ -6,7 +6,7 @@
 //! distributions the event-level simulator (`crate::events`) walks through
 //! one page load at a time; `tests/` asserts the two modes converge.
 
-use worldgen::World;
+use worldgen::{SubnetRecord, World};
 
 use crate::datasets::{BeaconDataset, BeaconRecord, DemandDataset, DemandRecord};
 use crate::netinfo::{netinfo_share, DEC_2016};
@@ -46,6 +46,68 @@ impl Default for CdnConfig {
     }
 }
 
+/// The per-world constants of BEACON sampling plus the per-block draw.
+/// [`generate_beacons`] and the streaming [`crate::EventSource`] both take
+/// a block's month from [`BeaconSampler::sample`], so they cannot drift.
+pub(crate) struct BeaconSampler {
+    seed: u64,
+    share: f64,
+    weight_sum: f64,
+    hits_budget: f64,
+    wifi_share_noncell: f64,
+}
+
+impl BeaconSampler {
+    pub(crate) fn new(world: &World, cfg: &CdnConfig) -> Self {
+        let share = netinfo_share(cfg.month_index).total() / 100.0;
+        let weight_sum: f64 = world
+            .blocks
+            .records
+            .iter()
+            .map(|r| r.beacon_weight as f64)
+            .sum();
+        BeaconSampler {
+            seed: world.config.seed ^ BEACON_SEED_TAG,
+            share,
+            weight_sum,
+            // The world's hit budget counts NetInfo-enabled hits; scale up
+            // to all RUM hits so `netinfo_hits ≈ budget` in expectation.
+            hits_budget: world.config.netinfo_hits_total / share,
+            wifi_share_noncell: cfg.wifi_share_noncell,
+        }
+    }
+
+    /// One block's month, or `None` when it drew no hits. Each block draws
+    /// from its own RNG stream keyed by block identity, not vector
+    /// position: the sampled dataset depends only on the world's contents
+    /// and the seed, so neither record reordering (e.g. after temporal
+    /// evolution) nor the parallel iteration order changes anything.
+    pub(crate) fn sample(&self, b: &SubnetRecord) -> Option<BeaconRecord> {
+        if b.beacon_weight <= 0.0 {
+            return None;
+        }
+        let mut rng = rng_for(self.seed, block_stream(b.block));
+        let mean = self.hits_budget * b.beacon_weight as f64 / self.weight_sum;
+        let hits_total = poisson(&mut rng, mean);
+        if hits_total == 0 {
+            return None;
+        }
+        let netinfo_hits = binomial(&mut rng, hits_total, self.share);
+        let cellular_hits = binomial(&mut rng, netinfo_hits, b.cell_rate as f64);
+        let noncell = netinfo_hits - cellular_hits;
+        let wifi_hits = binomial(&mut rng, noncell, self.wifi_share_noncell);
+        Some(BeaconRecord {
+            block: b.block,
+            asn: b.asn,
+            hits_total,
+            netinfo_hits,
+            cellular_hits,
+            wifi_hits,
+            other_hits: noncell - wifi_hits,
+        })
+    }
+}
+
 /// Sample the BEACON dataset for a world.
 ///
 /// Per block: total RUM hits are Poisson around the block's beacon weight
@@ -54,50 +116,12 @@ impl Default for CdnConfig {
 /// cellular with the block's latent rate.
 pub fn generate_beacons(world: &World, cfg: &CdnConfig) -> BeaconDataset {
     use rayon::prelude::*;
-    let share = netinfo_share(cfg.month_index).total() / 100.0;
-    let weight_sum: f64 = world
-        .blocks
-        .records
-        .iter()
-        .map(|r| r.beacon_weight as f64)
-        .sum();
-    // The world's hit budget counts NetInfo-enabled hits; scale up to all
-    // RUM hits so `netinfo_hits ≈ budget` in expectation.
-    let hits_budget = world.config.netinfo_hits_total / share;
-
-    // Each block draws from its own RNG stream keyed by block identity,
-    // not vector position: the sampled dataset depends only on the
-    // world's contents and the seed, so neither record reordering (e.g.
-    // after temporal evolution) nor the parallel iteration order changes
-    // anything.
+    let sampler = BeaconSampler::new(world, cfg);
     let records: Vec<BeaconRecord> = world
         .blocks
         .records
         .par_iter()
-        .filter_map(|b| {
-            if b.beacon_weight <= 0.0 {
-                return None;
-            }
-            let mut rng = rng_for(world.config.seed ^ BEACON_SEED_TAG, block_stream(b.block));
-            let mean = hits_budget * b.beacon_weight as f64 / weight_sum;
-            let hits_total = poisson(&mut rng, mean);
-            if hits_total == 0 {
-                return None;
-            }
-            let netinfo_hits = binomial(&mut rng, hits_total, share);
-            let cellular_hits = binomial(&mut rng, netinfo_hits, b.cell_rate as f64);
-            let noncell = netinfo_hits - cellular_hits;
-            let wifi_hits = binomial(&mut rng, noncell, cfg.wifi_share_noncell);
-            Some(BeaconRecord {
-                block: b.block,
-                asn: b.asn,
-                hits_total,
-                netinfo_hits,
-                cellular_hits,
-                wifi_hits,
-                other_hits: noncell - wifi_hits,
-            })
-        })
+        .filter_map(|b| sampler.sample(b))
         .collect();
     BeaconDataset::from_records(BEACON_PERIOD, records)
 }

@@ -3,7 +3,7 @@
 //! Batch mode materializes both datasets in one pass ([`crate::aggregate`]).
 //! A real CDN never sees data that way — beacons and demand snapshots
 //! arrive continuously and the ingest tier folds them into bounded state.
-//! This module exposes the *same* generative model as a lazy, epoch-sliced
+//! This module exposes the *same* generative model as an epoch-sliced
 //! event stream so a streaming consumer (the `cellstream` crate) can be
 //! tested for exact equivalence against the batch pipeline:
 //!
@@ -17,25 +17,35 @@
 //!   stream (so the slicing never perturbs the monthly totals), and the
 //!   demand week emits one event per smoothing day, assigned to epochs in
 //!   day order. Epoch boundaries are the natural checkpoint points.
+//! * **Drawn once:** the beacon month. The first `epoch()` call samples
+//!   every block's monthly totals and their whole epoch split into one
+//!   schedule — `4 × epochs` `u64`s (`32 × epochs` bytes) per block record,
+//!   ≈23 MB for the demo world at 4 epochs, ≈1.1 GB for the paper world —
+//!   and every `epoch()` after that reads rows. **Lazy:** demand. A block
+//!   seeds its demand stream once per epoch, skips the jitters of earlier
+//!   days and emits the epoch's contiguous day range; nothing is stored.
 //!
 //! Events for one block always appear in the same relative order no matter
 //! how the stream is sharded by block — the determinism guarantee the
 //! ingest engine builds on.
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use netaddr::{Asn, BlockId};
-use worldgen::sampling::{binomial, lognormal_jitter, poisson, rng_for, GenRng};
-use worldgen::{SubnetRecord, World};
+use worldgen::sampling::{binomial, lognormal_jitter, rng_for, GenRng};
+use worldgen::World;
 
-use crate::aggregate::CdnConfig;
-use crate::netinfo::netinfo_share;
-use crate::stream::{block_stream, BEACON_SEED_TAG, DEMAND_SEED_TAG};
+use crate::aggregate::{BeaconSampler, CdnConfig};
+use crate::stream::{block_stream, DEMAND_SEED_TAG};
 
 /// Seed tag for the epoch-split RNG stream. Distinct from the dataset
 /// tags so slicing draws never interleave with the monthly-total draws.
 const SPLIT_SEED_TAG: u64 = 0x5711_7000_0000_0000;
+
+/// Block records per schedule chunk (the unit the parallel draw hands out).
+const SCHEDULE_CHUNK: usize = 1024;
 
 /// How an event source failed to serve an epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,18 +156,20 @@ pub struct DemandDay {
     pub value: f64,
 }
 
-/// Lazy, epoch-sliced event stream over a world.
+/// Epoch-sliced event stream over a world.
 ///
-/// Holds only O(1) derived state (weight sums, budgets); every event is
-/// computed on demand from the per-block RNG streams.
+/// Holds the beacon schedule once the first [`epoch`](Self::epoch) call
+/// has drawn it (`32 × epochs` bytes per block record, see the module
+/// docs); demand events are computed on demand from the per-block RNG
+/// streams and never stored.
 pub struct EventSource<'w> {
     world: &'w World,
     cfg: CdnConfig,
     epochs: u32,
-    weight_sum: f64,
-    hits_budget: f64,
-    netinfo_frac: f64,
     gate: Option<Arc<dyn EpochGate>>,
+    /// Per [`SCHEDULE_CHUNK`] block records, one row per record: the
+    /// `epochs` parts of its non-NetInfo, cellular, wifi and other hits.
+    schedule: OnceLock<Vec<Vec<u64>>>,
 }
 
 impl<'w> EventSource<'w> {
@@ -168,24 +180,12 @@ impl<'w> EventSource<'w> {
     /// Panics when `epochs == 0`.
     pub fn new(world: &'w World, cfg: CdnConfig, epochs: u32) -> Self {
         assert!(epochs > 0, "an event stream needs at least one epoch");
-        // Identical derivations to `generate_beacons`, in the same order,
-        // so the per-block draws match bit for bit.
-        let netinfo_frac = netinfo_share(cfg.month_index).total() / 100.0;
-        let weight_sum: f64 = world
-            .blocks
-            .records
-            .iter()
-            .map(|r| r.beacon_weight as f64)
-            .sum();
-        let hits_budget = world.config.netinfo_hits_total / netinfo_frac;
         EventSource {
             world,
             cfg,
             epochs,
-            weight_sum,
-            hits_budget,
-            netinfo_frac,
             gate: None,
+            schedule: OnceLock::new(),
         }
     }
 
@@ -212,7 +212,10 @@ impl<'w> EventSource<'w> {
         &self.cfg
     }
 
-    /// All events of one epoch, lazily, in block-record order.
+    /// All events of one epoch, lazily, in block-record order. The first
+    /// call on a source draws the beacon schedule (in parallel, under the
+    /// caller's rayon pool); any epoch's slice is independent of which
+    /// epochs were queried before.
     ///
     /// # Panics
     /// Panics when `epoch >= self.epochs()`.
@@ -222,27 +225,49 @@ impl<'w> EventSource<'w> {
             "epoch {epoch} out of range (epochs = {})",
             self.epochs
         );
-        let days = self.smoothing_days();
-        self.world.blocks.records.iter().flat_map(move |b| {
-            let mut out = Vec::new();
-            if let Some(delta) = self.beacon_delta(b, epoch) {
-                out.push(StreamEvent::Beacon(delta));
-            }
-            if b.demand_weight > 0.0 {
-                for day in 0..days {
-                    if epoch_of_day(day, days, self.epochs) == epoch {
-                        out.push(StreamEvent::Demand(DemandDay {
+        let (n, e) = (self.epochs as usize, epoch as usize);
+        let days = epoch_days(epoch, self.smoothing_days(), self.epochs);
+        let seed = self.world.config.seed ^ DEMAND_SEED_TAG;
+        let jitter = self.cfg.daily_jitter;
+        let records = &self.world.blocks.records;
+        let schedule = self.schedule.get_or_init(|| self.draw_schedule());
+        (records.chunks(SCHEDULE_CHUNK).zip(schedule))
+            .flat_map(move |(blocks, rows)| blocks.iter().zip(rows.chunks_exact(4 * n)))
+            .flat_map(move |(b, row)| {
+                let [non_netinfo, cellular_hits, wifi_hits, other_hits] =
+                    [0, 1, 2, 3].map(|category| row[category * n + e]);
+                let netinfo_hits = cellular_hits + wifi_hits + other_hits;
+                let hits_total = non_netinfo + netinfo_hits;
+                let beacon = (hits_total > 0).then_some(StreamEvent::Beacon(BeaconDelta {
+                    epoch,
+                    block: b.block,
+                    asn: b.asn,
+                    hits_total,
+                    netinfo_hits,
+                    cellular_hits,
+                    wifi_hits,
+                    other_hits,
+                }));
+                // Day `d`'s draw is the `(d + 1)`-th jitter of the block's
+                // demand stream, exactly as `generate_demand` accumulates
+                // them: skip the earlier epochs' days, emit this epoch's.
+                let demand = (b.demand_weight > 0.0 && !days.is_empty()).then(|| {
+                    let mut rng = rng_for(seed, block_stream(b.block));
+                    for _ in 0..days.start {
+                        lognormal_jitter(&mut rng, jitter);
+                    }
+                    days.clone().map(move |day| {
+                        StreamEvent::Demand(DemandDay {
                             epoch,
                             day,
                             block: b.block,
                             asn: b.asn,
-                            value: self.demand_value(b, day),
-                        }));
-                    }
-                }
-            }
-            out
-        })
+                            value: b.demand_weight as f64 * lognormal_jitter(&mut rng, jitter),
+                        })
+                    })
+                });
+                beacon.into_iter().chain(demand.into_iter().flatten())
+            })
     }
 
     /// Fallible variant of [`epoch`](Self::epoch): consults the installed
@@ -268,101 +293,63 @@ impl<'w> EventSource<'w> {
         (0..self.epochs).flat_map(move |e| self.epoch(e))
     }
 
-    /// Epoch `epoch`'s slice of one block's monthly beacon counters, or
-    /// `None` when the block contributes nothing to this epoch.
-    fn beacon_delta(&self, b: &SubnetRecord, epoch: u32) -> Option<BeaconDelta> {
-        if b.beacon_weight <= 0.0 {
-            return None;
-        }
-        // The monthly totals: the exact draw sequence of
-        // `generate_beacons`, from the same per-block stream.
-        let mut rng = rng_for(
-            self.world.config.seed ^ BEACON_SEED_TAG,
-            block_stream(b.block),
-        );
-        let mean = self.hits_budget * b.beacon_weight as f64 / self.weight_sum;
-        let hits_total = poisson(&mut rng, mean);
-        if hits_total == 0 {
-            return None;
-        }
-        let netinfo_hits = binomial(&mut rng, hits_total, self.netinfo_frac);
-        let cellular_hits = binomial(&mut rng, netinfo_hits, b.cell_rate as f64);
-        let noncell = netinfo_hits - cellular_hits;
-        let wifi_hits = binomial(&mut rng, noncell, self.cfg.wifi_share_noncell);
-        let other_hits = noncell - wifi_hits;
-        let non_netinfo = hits_total - netinfo_hits;
-
-        // Slice the four disjoint hit categories across epochs with a
-        // dedicated stream. The full schedule is drawn in a fixed order
-        // every time, so any epoch's slice is independent of which epochs
-        // were queried before — and the slices sum to the totals exactly.
-        let mut srng = rng_for(
-            self.world.config.seed ^ SPLIT_SEED_TAG,
-            block_stream(b.block),
-        );
-        let e = epoch as usize;
-        let non_netinfo_e = split_counter(&mut srng, non_netinfo, self.epochs)[e];
-        let cellular_e = split_counter(&mut srng, cellular_hits, self.epochs)[e];
-        let wifi_e = split_counter(&mut srng, wifi_hits, self.epochs)[e];
-        let other_e = split_counter(&mut srng, other_hits, self.epochs)[e];
-        let netinfo_e = cellular_e + wifi_e + other_e;
-        let hits_e = non_netinfo_e + netinfo_e;
-        if hits_e == 0 {
-            return None;
-        }
-        Some(BeaconDelta {
-            epoch,
-            block: b.block,
-            asn: b.asn,
-            hits_total: hits_e,
-            netinfo_hits: netinfo_e,
-            cellular_hits: cellular_e,
-            wifi_hits: wifi_e,
-            other_hits: other_e,
-        })
-    }
-
-    /// Day `day`'s raw demand draw for a block: the `(day + 1)`-th jitter
-    /// from the block's demand stream, exactly as `generate_demand`
-    /// accumulates them.
-    fn demand_value(&self, b: &SubnetRecord, day: u32) -> f64 {
-        let mut rng = rng_for(
-            self.world.config.seed ^ DEMAND_SEED_TAG,
-            block_stream(b.block),
-        );
-        let mut v = 0.0;
-        for _ in 0..=day {
-            v = b.demand_weight as f64 * lognormal_jitter(&mut rng, self.cfg.daily_jitter);
-        }
-        v
+    /// Draw every block's month ([`BeaconSampler::sample`], the draw
+    /// `generate_beacons` makes) and slice its four disjoint hit categories
+    /// across epochs with a dedicated stream, in a fixed order, so the
+    /// slices sum to the monthly totals exactly. A block with no hits
+    /// keeps an all-zero row.
+    fn draw_schedule(&self) -> Vec<Vec<u64>> {
+        use rayon::prelude::*;
+        let sampler = BeaconSampler::new(self.world, &self.cfg);
+        let n = self.epochs as usize;
+        let seed = self.world.config.seed ^ SPLIT_SEED_TAG;
+        (self.world.blocks.records.par_chunks(SCHEDULE_CHUNK))
+            .map(|blocks| {
+                let mut rows = vec![0u64; blocks.len() * 4 * n];
+                for (b, row) in blocks.iter().zip(rows.chunks_exact_mut(4 * n)) {
+                    let Some(month) = sampler.sample(b) else {
+                        continue;
+                    };
+                    let mut rng = rng_for(seed, block_stream(b.block));
+                    let totals = [
+                        month.hits_total - month.netinfo_hits,
+                        month.cellular_hits,
+                        month.wifi_hits,
+                        month.other_hits,
+                    ];
+                    for (total, parts) in totals.into_iter().zip(row.chunks_exact_mut(n)) {
+                        split_counter(&mut rng, total, parts);
+                    }
+                }
+                rows
+            })
+            .collect()
     }
 }
 
-/// The epoch a smoothing day lands in: days partition across epochs in
-/// order, with every day assigned to exactly one epoch for any
-/// `(days, epochs)` pair.
-fn epoch_of_day(day: u32, days: u32, epochs: u32) -> u32 {
-    debug_assert!(day < days);
-    ((day as u64 * epochs as u64) / days as u64) as u32
+/// The smoothing days that land in `epoch`. Days partition across epochs
+/// in order — day `d` belongs to epoch `⌊d · epochs / days⌋` — so each
+/// epoch holds one contiguous, possibly empty, range.
+fn epoch_days(epoch: u32, days: u32, epochs: u32) -> Range<u32> {
+    let first_day = |e: u32| (e as u64 * days as u64).div_ceil(epochs as u64) as u32;
+    first_day(epoch)..first_day(epoch + 1)
 }
 
-/// Split `total` into `epochs` non-negative parts that sum to `total`
+/// Split `total` into `parts.len()` non-negative parts that sum to `total`
 /// exactly, each part marginally Binomial(total, 1/epochs): epoch `e`
 /// takes Binomial(remaining, 1/(epochs − e)).
-fn split_counter(rng: &mut GenRng, total: u64, epochs: u32) -> Vec<u64> {
-    let mut parts = Vec::with_capacity(epochs as usize);
+fn split_counter(rng: &mut GenRng, total: u64, parts: &mut [u64]) {
+    let epochs = parts.len();
     let mut remaining = total;
-    for e in 0..epochs {
+    for (e, part) in parts.iter_mut().enumerate() {
         let left = epochs - e;
-        let take = if left == 1 {
+        *part = if left == 1 {
             remaining
         } else {
             binomial(rng, remaining, 1.0 / left as f64)
         };
-        parts.push(take);
-        remaining -= take;
+        remaining -= *part;
     }
-    parts
 }
 
 #[cfg(test)]
@@ -371,8 +358,255 @@ mod tests {
     use std::collections::HashMap;
 
     use crate::datasets::{BeaconDataset, BeaconRecord, DemandDataset, DemandRecord};
+    use crate::netinfo::netinfo_share;
+    use crate::stream::BEACON_SEED_TAG;
     use crate::{generate_beacons, generate_demand, BEACON_PERIOD, DEMAND_PERIOD};
-    use worldgen::WorldConfig;
+    use worldgen::sampling::poisson;
+    use worldgen::{SubnetRecord, WorldConfig};
+
+    /// [`super::split_counter`] in the `Vec`-returning shape it had before
+    /// the schedule: the reference generator and the split test use it.
+    fn split_counter(rng: &mut GenRng, total: u64, epochs: u32) -> Vec<u64> {
+        let mut parts = vec![0; epochs as usize];
+        super::split_counter(rng, total, &mut parts);
+        parts
+    }
+
+    /// The reference generator: the per-epoch re-draw `EventSource` did
+    /// before it kept a schedule (`beacon_delta` / `demand_value` /
+    /// `epoch_of_day` are the deleted bodies, moved here unchanged). Every
+    /// `epoch()` call re-draws each block's whole month to emit one slice,
+    /// sharing nothing with `BeaconSampler` or `epoch_days`.
+    struct Reference<'w> {
+        world: &'w World,
+        cfg: CdnConfig,
+        epochs: u32,
+        weight_sum: f64,
+        hits_budget: f64,
+        netinfo_frac: f64,
+    }
+
+    impl<'w> Reference<'w> {
+        fn new(world: &'w World, cfg: CdnConfig, epochs: u32) -> Self {
+            let netinfo_frac = netinfo_share(cfg.month_index).total() / 100.0;
+            let weight_sum: f64 = world
+                .blocks
+                .records
+                .iter()
+                .map(|r| r.beacon_weight as f64)
+                .sum();
+            let hits_budget = world.config.netinfo_hits_total / netinfo_frac;
+            Reference {
+                world,
+                cfg,
+                epochs,
+                weight_sum,
+                hits_budget,
+                netinfo_frac,
+            }
+        }
+
+        fn epoch(&self, epoch: u32) -> Vec<StreamEvent> {
+            let days = self.cfg.smoothing_days.max(1);
+            let mut out = Vec::new();
+            for b in &self.world.blocks.records {
+                if let Some(delta) = self.beacon_delta(b, epoch) {
+                    out.push(StreamEvent::Beacon(delta));
+                }
+                if b.demand_weight > 0.0 {
+                    for day in 0..days {
+                        if epoch_of_day(day, days, self.epochs) == epoch {
+                            out.push(StreamEvent::Demand(DemandDay {
+                                epoch,
+                                day,
+                                block: b.block,
+                                asn: b.asn,
+                                value: self.demand_value(b, day),
+                            }));
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Epoch `epoch`'s slice of one block's monthly beacon counters, or
+        /// `None` when the block contributes nothing to this epoch.
+        fn beacon_delta(&self, b: &SubnetRecord, epoch: u32) -> Option<BeaconDelta> {
+            if b.beacon_weight <= 0.0 {
+                return None;
+            }
+            let mut rng = rng_for(
+                self.world.config.seed ^ BEACON_SEED_TAG,
+                block_stream(b.block),
+            );
+            let mean = self.hits_budget * b.beacon_weight as f64 / self.weight_sum;
+            let hits_total = poisson(&mut rng, mean);
+            if hits_total == 0 {
+                return None;
+            }
+            let netinfo_hits = binomial(&mut rng, hits_total, self.netinfo_frac);
+            let cellular_hits = binomial(&mut rng, netinfo_hits, b.cell_rate as f64);
+            let noncell = netinfo_hits - cellular_hits;
+            let wifi_hits = binomial(&mut rng, noncell, self.cfg.wifi_share_noncell);
+            let other_hits = noncell - wifi_hits;
+            let non_netinfo = hits_total - netinfo_hits;
+
+            let mut srng = rng_for(
+                self.world.config.seed ^ SPLIT_SEED_TAG,
+                block_stream(b.block),
+            );
+            let e = epoch as usize;
+            let non_netinfo_e = split_counter(&mut srng, non_netinfo, self.epochs)[e];
+            let cellular_e = split_counter(&mut srng, cellular_hits, self.epochs)[e];
+            let wifi_e = split_counter(&mut srng, wifi_hits, self.epochs)[e];
+            let other_e = split_counter(&mut srng, other_hits, self.epochs)[e];
+            let netinfo_e = cellular_e + wifi_e + other_e;
+            let hits_e = non_netinfo_e + netinfo_e;
+            if hits_e == 0 {
+                return None;
+            }
+            Some(BeaconDelta {
+                epoch,
+                block: b.block,
+                asn: b.asn,
+                hits_total: hits_e,
+                netinfo_hits: netinfo_e,
+                cellular_hits: cellular_e,
+                wifi_hits: wifi_e,
+                other_hits: other_e,
+            })
+        }
+
+        /// Day `day`'s raw demand draw for a block: the `(day + 1)`-th
+        /// jitter from the block's demand stream.
+        fn demand_value(&self, b: &SubnetRecord, day: u32) -> f64 {
+            let mut rng = rng_for(
+                self.world.config.seed ^ DEMAND_SEED_TAG,
+                block_stream(b.block),
+            );
+            let mut v = 0.0;
+            for _ in 0..=day {
+                v = b.demand_weight as f64 * lognormal_jitter(&mut rng, self.cfg.daily_jitter);
+            }
+            v
+        }
+    }
+
+    /// The epoch a smoothing day lands in: days partition across epochs in
+    /// order, with every day assigned to exactly one epoch for any
+    /// `(days, epochs)` pair.
+    fn epoch_of_day(day: u32, days: u32, epochs: u32) -> u32 {
+        debug_assert!(day < days);
+        ((day as u64 * epochs as u64) / days as u64) as u32
+    }
+
+    /// FNV-1a over every field of every event, in stream order.
+    fn stream_digest(source: &EventSource<'_>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut put = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for ev in source.events() {
+            match ev {
+                StreamEvent::Beacon(d) => {
+                    for v in [
+                        0,
+                        d.epoch as u64,
+                        block_stream(d.block),
+                        d.asn.0 as u64,
+                        d.hits_total,
+                        d.netinfo_hits,
+                        d.cellular_hits,
+                        d.wifi_hits,
+                        d.other_hits,
+                    ] {
+                        put(v);
+                    }
+                }
+                StreamEvent::Demand(d) => {
+                    for v in [
+                        1,
+                        d.epoch as u64,
+                        d.day as u64,
+                        block_stream(d.block),
+                        d.asn.0 as u64,
+                        d.value.to_bits(),
+                    ] {
+                        put(v);
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    /// The stream is the parent's stream: this digest was computed at the
+    /// commit before the schedule existed (per-epoch re-draw), debug and
+    /// release, and pinned before `source.rs` was touched.
+    #[test]
+    fn mini_world_stream_digest_is_pinned() {
+        let world = World::generate(WorldConfig::mini());
+        let source = EventSource::new(&world, CdnConfig::default(), 4);
+        assert_eq!(source.events().count(), 192_785);
+        assert_eq!(stream_digest(&source), 0xc97e_b010_3d60_7b9c);
+    }
+
+    #[test]
+    fn stream_equals_the_reference_generator_event_for_event() {
+        // Every 12th block record (both families, two schedule
+        // chunks): the reference re-draws a block's month per epoch, and
+        // 78 epochs of the whole mini world take minutes unoptimised. The
+        // whole world is covered by the pinned digest above.
+        let mut world = World::generate(WorldConfig::mini());
+        world.blocks.records = (world.blocks.records.into_iter().step_by(12)).collect();
+        assert!(world.blocks.records.len() > SCHEDULE_CHUNK);
+        for smoothing_days in [1u32, 3, 7] {
+            let cfg = CdnConfig {
+                smoothing_days,
+                ..Default::default()
+            };
+            // Includes `epochs > days`, where some epochs carry no demand.
+            for epochs in [1u32, 2, 3, 4, 7, 9] {
+                let source = EventSource::new(&world, cfg.clone(), epochs);
+                let reference = Reference::new(&world, cfg.clone(), epochs);
+                let mut demand_free_epochs = 0;
+                for epoch in 0..epochs {
+                    let got: Vec<StreamEvent> = source.epoch(epoch).collect();
+                    let want = reference.epoch(epoch);
+                    assert_eq!(got.len(), want.len(), "epochs={epochs} epoch={epoch}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g, w, "epochs={epochs} days={smoothing_days} epoch={epoch}");
+                    }
+                    if !want.iter().any(|ev| matches!(ev, StreamEvent::Demand(_))) {
+                        demand_free_epochs += 1;
+                    }
+                }
+                assert_eq!(
+                    demand_free_epochs,
+                    epochs.saturating_sub(smoothing_days),
+                    "epochs={epochs} days={smoothing_days}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_day_ranges_agree_with_the_per_day_assignment() {
+        for days in [1u32, 3, 7, 10] {
+            for epochs in [1u32, 2, 4, 7, 9] {
+                for epoch in 0..epochs {
+                    let want: Vec<u32> = (0..days)
+                        .filter(|&d| epoch_of_day(d, days, epochs) == epoch)
+                        .collect();
+                    let got: Vec<u32> = epoch_days(epoch, days, epochs).collect();
+                    assert_eq!(got, want, "days={days} epochs={epochs} epoch={epoch}");
+                }
+            }
+        }
+    }
 
     /// Fold a full stream the way an ingest consumer would, without any
     /// sharding — the minimal reference fold.

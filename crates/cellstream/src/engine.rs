@@ -15,7 +15,7 @@ use netaddr::{Asn, BlockId};
 
 use cdnsim::{
     BeaconDataset, BeaconRecord, DemandDataset, DemandRecord, EventSource, SourceError,
-    BEACON_PERIOD, DEMAND_PERIOD,
+    StreamEvent, BEACON_PERIOD, DEMAND_PERIOD,
 };
 use dnssim::DnsSim;
 
@@ -371,11 +371,13 @@ impl IngestEngine {
     }
 
     /// Attach an observer (builder form). Per-epoch event counters, an
-    /// epoch-size histogram, a state-bytes high-water gauge, and recovery
-    /// counters report into it. Counters and the histogram are functions
-    /// of the stream alone — byte-identical at any shard or thread
-    /// count — while the state-bytes gauge legitimately varies with the
-    /// shard count (each shard carries fixed sketch budgets).
+    /// epoch-size histogram, an epoch wall-clock histogram
+    /// (`stream.epoch.ns`: source pull + fold), a state-bytes high-water
+    /// gauge, and recovery counters report into it. Counters and the size
+    /// histogram are functions of the stream alone — byte-identical at
+    /// any shard or thread count — while the state-bytes gauge
+    /// legitimately varies with the shard count (each shard carries fixed
+    /// sketch budgets) and `stream.epoch.ns` is stable only by count.
     pub fn with_observer(mut self, obs: cellobs::Observer) -> Self {
         self.obs = obs;
         self
@@ -470,6 +472,7 @@ impl IngestEngine {
             ));
         }
         let epoch = self.epochs_done;
+        let started = self.obs.is_enabled().then(std::time::Instant::now);
         let events = source.try_epoch(epoch).map_err(IngestError::Source)?;
         // Event counters advance for *every* event — including ones a
         // poisoned shard drops — so fault trigger points stay at the same
@@ -480,16 +483,14 @@ impl IngestEngine {
         for ev in events {
             let shard = self.router.shard_of(ev.block());
             let idx = shard as usize;
-            let dead = self.poisoned.contains(&shard);
+            // Empty on entry (checked above): only a kill this epoch fills it.
+            let dead = !self.poisoned.is_empty() && self.poisoned.contains(&shard);
             if !dead {
                 match observer
                     .map(|o| o.before_apply(epoch, shard, epoch_events, shard_counts[idx]))
                     .unwrap_or(FoldAction::Continue)
                 {
-                    FoldAction::Continue => {
-                        let resolver = self.resolver_map.resolver_of(ev.block());
-                        self.shards[idx].apply(&ev, resolver);
-                    }
+                    FoldAction::Continue => self.fold(idx, &ev),
                     FoldAction::KillShard => {
                         self.poisoned.insert(shard);
                         killed.get_or_insert(shard);
@@ -508,7 +509,12 @@ impl IngestEngine {
         // finished it), so report it either way. `epoch_events` counts
         // every event — including ones a poisoned shard dropped — so the
         // counters are a function of the stream alone.
-        if self.obs.is_enabled() {
+        if let Some(started) = started {
+            // Source pull + fold: what the bench ledger calls
+            // `cellstream.ingest_s`, per epoch.
+            self.obs
+                .histogram("stream.epoch.ns")
+                .record(started.elapsed().as_nanos() as u64);
             self.obs.counter("stream.events").add(epoch_events);
             self.obs.counter("stream.epochs").inc();
             self.obs
@@ -522,6 +528,16 @@ impl IngestEngine {
             Some(shard) => Err(IngestError::ShardPanic { epoch, shard }),
             None => Ok(epoch),
         }
+    }
+
+    /// Fold one event into shard `idx`. Only demand events feed a resolver
+    /// sketch, so only they pay the resolver look-up.
+    fn fold(&mut self, idx: usize, ev: &StreamEvent) {
+        let resolver = match ev {
+            StreamEvent::Demand(d) => self.resolver_map.resolver_of(d.block),
+            StreamEvent::Beacon(_) => None,
+        };
+        self.shards[idx].apply(ev, resolver);
     }
 
     /// Rebuild one shard after a [`IngestError::ShardPanic`]: reset it
@@ -582,8 +598,7 @@ impl IngestEngine {
         for epoch in start..self.epochs_done {
             for ev in source.epoch(epoch) {
                 if self.router.shard_of(ev.block()) == shard {
-                    let resolver = self.resolver_map.resolver_of(ev.block());
-                    self.shards[idx].apply(&ev, resolver);
+                    self.fold(idx, &ev);
                 }
             }
         }

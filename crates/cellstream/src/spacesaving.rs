@@ -11,11 +11,14 @@
 //!   `error` is the counter inherited at eviction time;
 //! * any key whose true weight exceeds `W / capacity` is tracked.
 //!
-//! Sketches merge by replaying one sketch's counters into the other with
-//! their errors carried along, so the per-key bounds survive shard
-//! merging (the estimates themselves may differ slightly between shard
-//! counts — unlike HyperLogLog, Space-Saving merging is not exact — which
-//! is why the equivalence test checks bounds, not bit-equality, here).
+//! Sketches (of one capacity) merge by adding counters key by key — a
+//! key only one side holds takes the other side's
+//! [`SpaceSaving::error_bound`] instead, all that side can have seen of
+//! it, evicted or never tracked — and keeping the `capacity` heaviest, so
+//! the per-key bounds survive shard merging (the estimates themselves may
+//! differ slightly between shard counts — unlike HyperLogLog, Space-Saving
+//! merging is not exact — which is why the equivalence test checks bounds,
+//! not bit-equality, here).
 
 use cellseal::Reader;
 use netaddr::BlockId;
@@ -93,23 +96,16 @@ impl SpaceSaving {
 
     /// Offer `weight` for `block`.
     pub fn offer(&mut self, block: BlockId, weight: f64) {
-        self.offer_with_error(block, weight, 0.0);
-    }
-
-    /// Offer a pre-aggregated counter (used by [`merge`](Self::merge)):
-    /// `weight` with an existing over-count of `error`.
-    fn offer_with_error(&mut self, block: BlockId, weight: f64, error: f64) {
         self.total_weight += weight;
         if let Some(e) = self.entries.iter_mut().find(|e| e.block == block) {
             e.weight += weight;
-            e.error += error;
             return;
         }
         if self.entries.len() < self.capacity {
             self.entries.push(HeavyHitter {
                 block,
                 weight,
-                error,
+                error: 0.0,
             });
             return;
         }
@@ -126,17 +122,42 @@ impl SpaceSaving {
         self.entries[victim] = HeavyHitter {
             block,
             weight: inherited + weight,
-            error: inherited + error,
+            error: inherited,
         };
     }
 
-    /// Fold another sketch into this one. Per-key bounds
-    /// (`estimate − error ≤ true ≤ estimate`) and the
-    /// `W / capacity` tracking guarantee hold on the result for the
-    /// combined stream.
+    /// Fold another sketch (of the same capacity) into this one. Per-key
+    /// bounds (`estimate − error ≤ true ≤ estimate`) hold on the result
+    /// for the combined stream, and [`error_bound`](Self::error_bound)
+    /// still covers every key it does not track.
     pub fn merge(&mut self, other: &SpaceSaving) {
-        for e in &other.entries {
-            self.offer_with_error(e.block, e.weight, e.error);
+        // A key a full sketch does not hold weighs at most its smallest
+        // counter there (0 while it is not full): the side that does hold
+        // it takes that much as over-count.
+        let (mine, theirs) = (self.error_bound(), other.error_bound());
+        let held = self.entries.len();
+        for e in &mut self.entries {
+            let seen = other.entries.iter().find(|o| o.block == e.block);
+            let (weight, error) = seen.map_or((theirs, theirs), |o| (o.weight, o.error));
+            e.weight += weight;
+            e.error += error;
+        }
+        for o in &other.entries {
+            self.total_weight += o.weight;
+            if !self.entries[..held].iter().any(|e| e.block == o.block) {
+                self.entries.push(HeavyHitter {
+                    block: o.block,
+                    weight: o.weight + mine,
+                    error: o.error + mine,
+                });
+            }
+        }
+        // Keep the heaviest counters (earlier ones among ties). A dropped
+        // key weighs at most its counter, and every counter is at least
+        // `mine + theirs`, so the smallest kept one is the new bound.
+        if self.entries.len() > self.capacity {
+            self.entries.sort_by(|a, b| b.weight.total_cmp(&a.weight));
+            self.entries.truncate(self.capacity);
         }
     }
 
@@ -323,6 +344,29 @@ mod tests {
             assert!(h.weight + 1e-9 >= t);
             assert!(h.weight - h.error <= t + 1e-9);
         }
+    }
+
+    /// The bound a plain replay of `a`'s counters loses: `a` saw 10 of
+    /// key 1 and evicted it, so merging `a` into a sketch that tracks key
+    /// 1 at 50 must not leave the estimate at 50 against a true 60.
+    #[test]
+    fn merge_covers_a_key_the_other_sketch_evicted() {
+        let mut a = SpaceSaving::new(2);
+        a.offer(b(1), 10.0);
+        a.offer(b(2), 10.0);
+        a.offer(b(3), 1.0); // evicts key 1 (first among the tied minima)
+        assert!(a.entries().iter().all(|e| e.block != b(1)));
+        assert_eq!(a.error_bound(), 10.0);
+
+        let mut m = SpaceSaving::new(2);
+        m.offer(b(1), 50.0);
+        m.merge(&a);
+        let counters: Vec<_> = (m.entries().iter().map(|e| (e.block, e.weight, e.error))).collect();
+        // Key 1: 50 + all `a` can have seen of it. Key 3 (true 1) keeps
+        // `a`'s counter; key 2 (true 10) is dropped, under the new bound.
+        assert_eq!(counters, [(b(1), 60.0, 10.0), (b(3), 11.0, 10.0)]);
+        assert_eq!(m.error_bound(), 11.0);
+        assert_eq!(m.total_weight(), 71.0, "the total stays the exact sum");
     }
 
     #[test]

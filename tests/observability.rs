@@ -122,6 +122,13 @@ fn observed_patch_snapshot(threads: usize) -> (ObsSnapshot, u64) {
         })
 }
 
+/// Every histogram's name and sample count: how a wall-clock (`*.ns`)
+/// histogram joins a determinism check — its sum and buckets are not
+/// stripped by the redacted export.
+fn histogram_counts(s: &ObsSnapshot) -> Vec<(String, u64)> {
+    (s.histograms.iter().map(|(name, h)| (name.clone(), h.count))).collect()
+}
+
 /// The daemon's own patch metrics join the determinism contract:
 /// `served.delta.ops`, every other counter and gauge, and the *count*
 /// of `served.delta.patch.ns` are functions of the deltas alone. (The
@@ -133,10 +140,7 @@ fn delta_patch_metrics_are_identical_across_thread_counts() {
     let (eight, _) = observed_patch_snapshot(8);
     assert_eq!(one.counters, eight.counters);
     assert_eq!(one.gauges, eight.gauges);
-    let counts = |s: &ObsSnapshot| -> Vec<(String, u64)> {
-        (s.histograms.iter().map(|(name, h)| (name.clone(), h.count))).collect()
-    };
-    assert_eq!(counts(&one), counts(&eight));
+    assert_eq!(histogram_counts(&one), histogram_counts(&eight));
     assert!(ops > 0, "the churn world changes labels every epoch");
     assert_eq!(one.counters["served.delta.ops"], ops);
     assert_eq!(one.counters["served.delta.ok"], 3);
@@ -210,15 +214,19 @@ fn json_export_parses_and_covers_every_stage() {
 /// Streaming counters and histograms are functions of the stream alone:
 /// identical at any shard count. (Gauges — peak state bytes — and
 /// checkpoint byte counters legitimately vary with the shard layout and
-/// are excluded from this contract.)
+/// are excluded from this contract; `stream.epoch.ns` is wall clock, so
+/// only its count — one sample per epoch — is part of it.)
 #[test]
 fn stream_counters_are_shard_count_invariant() {
-    let two = observed_stream_snapshot(2);
-    let seven = observed_stream_snapshot(7);
+    let mut two = observed_stream_snapshot(2);
+    let mut seven = observed_stream_snapshot(7);
     assert_eq!(
         two.counters, seven.counters,
         "stream counters must not depend on the shard count"
     );
+    let epoch_ns = |s: &mut ObsSnapshot| s.histograms.remove("stream.epoch.ns").map(|h| h.count);
+    assert_eq!(epoch_ns(&mut two), Some(4));
+    assert_eq!(epoch_ns(&mut seven), Some(4));
     assert_eq!(
         two.histograms, seven.histograms,
         "per-epoch event histogram must not depend on the shard count"
@@ -228,6 +236,30 @@ fn stream_counters_are_shard_count_invariant() {
     // The gauge exists in both runs even though its value may differ.
     assert!(two.gauges.contains_key("stream.state_bytes.peak"));
     assert!(seven.gauges.contains_key("stream.state_bytes.peak"));
+}
+
+/// The ingest engine's metrics join the thread-count contract now that
+/// the source draws its beacon schedule under rayon: counters, gauges and
+/// the epoch-size histogram are identical on 1 thread and 8, and
+/// `stream.epoch.ns` (wall clock) by count.
+#[test]
+fn stream_metrics_are_identical_across_thread_counts() {
+    let run_with = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("local rayon pool")
+            .install(|| observed_stream_snapshot(2))
+    };
+    let (one, eight) = (run_with(1), run_with(8));
+    assert_eq!(one.counters, eight.counters);
+    assert_eq!(one.gauges, eight.gauges);
+    assert_eq!(histogram_counts(&one), histogram_counts(&eight));
+    assert_eq!(
+        one.histograms["stream.epoch.events"],
+        eight.histograms["stream.epoch.events"]
+    );
+    assert_eq!(one.histograms["stream.epoch.ns"].count, 4);
 }
 
 /// The Prometheus export is line-parseable, covers the same families,
@@ -268,7 +300,7 @@ fn prometheus_export_is_parseable_and_stable() {
     );
     let strip_wall_clock = |t: &str| {
         t.lines()
-            .filter(|l| !l.starts_with("span_millis"))
+            .filter(|l| !l.starts_with("span_millis") && !l.starts_with("stream_epoch_ns"))
             .collect::<Vec<_>>()
             .join("\n")
     };

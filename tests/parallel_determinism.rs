@@ -1,7 +1,8 @@
 //! The parallel pipeline's two contracts:
 //!
 //! 1. **Thread-count invariance** — every parallel stage (world
-//!    generation, dataset sampling, event simulation, the full study) is
+//!    generation, dataset sampling, event simulation, the streaming
+//!    source's beacon schedule, the full study) is
 //!    keyed by per-block/per-operator RNG streams and merged in a fixed
 //!    order, so its output is *identical* — float for float, bit for
 //!    bit — no matter how many rayon threads run it.
@@ -12,8 +13,12 @@
 
 use std::collections::HashMap;
 
-use cellspotting::cdnsim::{aggregate_events, generate_datasets, simulate_events, EventSimConfig};
+use cellspotting::cdnsim::{
+    aggregate_events, generate_datasets, simulate_events, CdnConfig, EventSimConfig, EventSource,
+    StreamEvent,
+};
 use cellspotting::cellspot::{Pipeline, Study, StudyConfig};
+use cellspotting::cellstream::{IngestEngine, ResolverMap, StreamConfig};
 use cellspotting::worldgen::{World, WorldConfig};
 
 /// Generate a mini world and run the full study.
@@ -70,6 +75,52 @@ fn event_simulation_is_thread_count_invariant() {
     for (a, b) in one.iter().zip(&many) {
         assert_eq!(a, b, "event streams must match event-for-event");
     }
+}
+
+/// `EventSource` draws its beacon schedule under rayon on the first
+/// `epoch()` call: the events must not depend on how many threads drew it.
+#[test]
+fn event_source_schedule_is_thread_count_invariant() {
+    let world = World::generate(WorldConfig::mini());
+    let run_with = |threads: usize| -> Vec<StreamEvent> {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("local rayon pool")
+            .install(|| {
+                let source = EventSource::new(&world, CdnConfig::default(), 4);
+                // The first call builds the schedule inside this pool.
+                let _ = source.epoch(0).count();
+                source.events().collect()
+            })
+    };
+    let one = run_with(1);
+    let many = run_with(4);
+    assert!(one.iter().any(|ev| matches!(ev, StreamEvent::Beacon(_))));
+    assert!(one == many, "event streams must match event-for-event");
+}
+
+/// A second engine over the *same* `EventSource` value reuses the
+/// schedule the first run drew, and nothing else: it ends in the same
+/// state, byte for byte.
+#[test]
+fn a_second_ingest_over_the_same_source_ends_in_the_same_state() {
+    let world = World::generate(WorldConfig::mini());
+    let dns = cellspotting::dnssim::generate_dns(&world);
+    let source = EventSource::new(&world, CdnConfig::default(), 4);
+    let run = || {
+        let resolvers = ResolverMap::from_dns(&dns);
+        let mut engine = IngestEngine::for_source(StreamConfig::default(), &source, resolvers);
+        engine.run_to_end(&source);
+        (
+            (engine.events_seen(), engine.state_bytes()),
+            engine.snapshot().to_bytes(),
+        )
+    };
+    let (first, second) = (run(), run());
+    assert!(first.0 .0 > 0);
+    assert_eq!(first.0, second.0, "(events_seen, state_bytes)");
+    assert!(first.1 == second.1, "sealed snapshots differ");
 }
 
 /// With the switch rate cranked up, a cellular block whose latent rate is
